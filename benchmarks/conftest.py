@@ -17,10 +17,10 @@ import pathlib
 
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.groundtruth import GroundTruthHarness
 from repro.core.world import build_world
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 BENCH_SEED = 20210402
@@ -42,10 +42,10 @@ def bench_world():
 
 @pytest.fixture(scope="session")
 def bench_result(bench_world):
-    campaign = Campaign(
-        bench_world, atlas_probes_per_country=8, atlas_repetitions=2
+    return run_parallel_campaign(
+        bench_world.config, workers=1, num_shards=1,
+        atlas_probes_per_country=8, atlas_repetitions=2,
     )
-    return campaign.run()
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,12 @@ import dataclasses
 from benchmarks.conftest import BENCH_SEED, save_artifact
 from repro.analysis.pops import pop_distance_stats
 from repro.analysis.providers import provider_summaries
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.world import build_world
 from repro.doh.provider import PROVIDER_CONFIGS
+from repro.parallel import ShardSpec
+from repro.parallel.executor import _merge
+from repro.parallel.worker import ShardTask, run_measurement_shard
 from repro.proxy.population import PopulationConfig
 
 _SCALE = 0.03
@@ -29,9 +31,15 @@ def _run(ideal: bool):
         name: dataclasses.replace(cfg, ideal_routing=ideal)
         for name, cfg in PROVIDER_CONFIGS.items()
     }
-    world = build_world(config, provider_configs=overrides)
-    dataset = Campaign(world, atlas_probes_per_country=0).run().dataset
-    return dataset
+    # The patched world is not derivable from the config, so the one
+    # shard measures it through the executor's world_factory hook.
+    shard = run_measurement_shard(
+        ShardTask(config, ShardSpec(0, 1)),
+        world_factory=lambda: build_world(
+            config, provider_configs=overrides
+        ),
+    )
+    return _merge(config, [shard], []).dataset
 
 
 def test_ablation_anycast(benchmark):

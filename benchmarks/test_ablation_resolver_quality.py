@@ -9,9 +9,8 @@ share.
 
 from benchmarks.conftest import BENCH_SEED, save_artifact
 from repro.analysis.slowdown import headline_stats
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 _SCALE = 0.03
@@ -24,8 +23,9 @@ def _run(bad_rate: float):
             scale=_SCALE, bad_resolver_rate=bad_rate
         ),
     )
-    world = build_world(config)
-    dataset = Campaign(world, atlas_probes_per_country=0).run().dataset
+    dataset = run_parallel_campaign(
+        config, workers=1, num_shards=1, atlas_probes_per_country=0
+    ).dataset
     return headline_stats(dataset)
 
 

@@ -24,8 +24,8 @@ from repro.proxy.population import PopulationConfig
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SERIAL_OUT_PATH = REPO_ROOT / "BENCH_serial_hotpath.json"
 
-#: Serial campaign throughput (measurements/s) of the tree *before*
-#: the serial hot-path overhaul, measured on the development machine:
+#: Single-process campaign throughput (measurements/s) of the tree
+#: *before* the hot-path overhaul, measured on the development machine:
 #: median of 5 interleaved runs at scale 0.01, seed 20210402, campaign
 #: time only (world build excluded).  Override with
 #: ``REPRO_PERF_BASELINE`` when benchmarking on different hardware.
@@ -65,13 +65,14 @@ def test_measurement_throughput(benchmark):
 
 
 def test_serial_campaign_throughput():
-    """End-to-end serial campaign throughput, with a regression gate.
+    """Single-process campaign throughput, with a regression gate.
 
-    Runs the whole serial measurement campaign (the exact code path
-    full-scale runs use) and records measurements per wall-clock
-    second — campaign execution only, world build excluded — in
+    Times one world build plus :meth:`Campaign.measure` over the whole
+    fleet — the hot path every shard of the executor runs — and
+    records measurements per wall-clock second in
     ``BENCH_serial_hotpath.json`` next to the before/after numbers of
-    the hot-path overhaul.
+    the hot-path overhaul.  Every measurement counts, including those
+    the Maxmind filter later discards.
 
     The gate: throughput must not drop more than 25% below the
     baseline.  The baseline defaults to the recorded pre-overhaul
@@ -83,13 +84,11 @@ def test_serial_campaign_throughput():
     config = ReproConfig(
         seed=20210402, population=PopulationConfig(scale=scale)
     )
-    world = build_world(config)
-    campaign = Campaign(world, atlas_probes_per_country=0)
-
     started = time.perf_counter()
-    result = campaign.run()
+    world = build_world(config)
+    raw_doh, raw_do53 = Campaign(world, atlas_probes_per_country=0).measure()
     elapsed = time.perf_counter() - started
-    measurements = len(result.raw_doh) + len(result.raw_do53)
+    measurements = len(raw_doh) + len(raw_do53)
     meas_per_sec = measurements / elapsed if elapsed else float("inf")
 
     baseline = float(

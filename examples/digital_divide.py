@@ -12,7 +12,7 @@ Run:  python examples/digital_divide.py [scale]
 
 import sys
 
-from repro import Campaign, ReproConfig, build_world
+from repro import ReproConfig, run_parallel_campaign
 from repro.analysis.explain import (
     linear_delta_model,
     logistic_slowdown_model,
@@ -28,8 +28,9 @@ def main() -> None:
     config = ReproConfig(
         seed=2021, population=PopulationConfig(scale=scale)
     )
-    world = build_world(config)
-    dataset = Campaign(world, atlas_probes_per_country=0).run().dataset
+    dataset = run_parallel_campaign(
+        config, num_shards=1, atlas_probes_per_country=0
+    ).dataset
     stats = client_provider_stats(dataset)
 
     # Raw medians by nationwide bandwidth (the paper's headline: 350ms

@@ -10,7 +10,7 @@ Run:  python examples/provider_comparison.py [scale]
 
 import sys
 
-from repro import Campaign, ReproConfig, build_world
+from repro import ReproConfig, run_parallel_campaign
 from repro.analysis.pops import pop_distance_stats
 from repro.analysis.providers import provider_summaries
 from repro.analysis.report import format_table
@@ -22,8 +22,9 @@ def main() -> None:
     config = ReproConfig(
         seed=2021, population=PopulationConfig(scale=scale)
     )
-    world = build_world(config)
-    dataset = Campaign(world, atlas_probes_per_country=0).run().dataset
+    dataset = run_parallel_campaign(
+        config, num_shards=1, atlas_probes_per_country=0
+    ).dataset
 
     summaries = {s.provider: s for s in provider_summaries(dataset)}
     routing = {s.provider: s for s in pop_distance_stats(dataset)}

@@ -11,30 +11,21 @@ Run:  python examples/quickstart.py [scale]
 import sys
 import time
 
-from repro import Campaign, ReproConfig, build_world
+from repro import ReproConfig, run_parallel_campaign
 from repro.analysis.slowdown import headline_stats
 from repro.proxy.population import PopulationConfig
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.04
-    print("Building the simulated Internet (scale={}) ...".format(scale))
+    print("Running the measurement campaign (scale={}) ...".format(scale))
     started = time.time()
     config = ReproConfig(
         seed=2021, population=PopulationConfig(scale=scale)
     )
-    world = build_world(config)
-    print(
-        "  {} hosts, {} exit nodes, {} DoH PoPs, {} super proxies".format(
-            len(world.network),
-            len(world.nodes()),
-            sum(len(p.pops) for p in world.providers.values()),
-            len(world.super_proxies),
-        )
+    result = run_parallel_campaign(
+        config, num_shards=1, atlas_probes_per_country=5
     )
-
-    print("Running the measurement campaign ...")
-    result = Campaign(world, atlas_probes_per_country=5).run()
     dataset = result.dataset
     print("  " + dataset.summary())
     print("  Maxmind mismatch discard rate: {:.2%} (paper: 0.88%)".format(

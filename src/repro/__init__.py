@@ -10,11 +10,10 @@ table and figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import ReproConfig, build_world, Campaign
+    from repro import ReproConfig, run_parallel_campaign
 
     config = ReproConfig.small(scale=0.05)
-    world = build_world(config)
-    dataset = Campaign(world).run().dataset
+    dataset = run_parallel_campaign(config).dataset
     print(dataset.summary())
 
 See :mod:`repro.core` for the measurement methodology, :mod:`repro.analysis`

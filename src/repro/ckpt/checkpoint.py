@@ -6,7 +6,7 @@ Layout of a checkpoint directory::
                               per-run resume counters, lineage
     <dir>/config.pkl          the exact ReproConfig (for ckpt extend)
     <dir>/<role>.ledger       sample journal per unit of work
-                              (roles: "serial", "shard-<k>", "ext-...")
+                              (roles: "shard-<k>", "delta")
     <dir>/<role>.state        pickled world+campaign mutable state at
                               the last committed batch boundary
     <dir>/<role>.result       pickled final unit result (shards/Atlas)

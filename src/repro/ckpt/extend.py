@@ -31,18 +31,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from repro.ckpt.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.ckpt.fingerprint import campaign_fingerprint
 from repro.core.campaign import Campaign, NodeFailure
 from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
-from repro.core.validation import filter_mismatched
 from repro.core.world import build_world
-from repro.dataset.builder import DatasetBuilder
 from repro.dataset.store import Dataset
-from repro.geo.geolocate import GeolocationService
+
+if TYPE_CHECKING:
+    from repro.parallel.worker import ShardResult
 
 __all__ = [
     "ExtendResult",
@@ -176,10 +176,10 @@ def fleet_node_ids(config: ReproConfig) -> Set[str]:
 def _delta_client_seed(config: ReproConfig, fingerprint: str) -> int:
     """A client-stream seed disjoint from every base stream.
 
-    Base streams sit near the world seed (serial ``seed+1``, shard k
-    ``seed+1+k``, Atlas ``seed+1+num_shards``); the delta stream is
-    pushed far past them and keyed on the extension fingerprint so
-    distinct extensions of one base never share query names.
+    Base streams sit near the world seed (shard k ``seed+1+k``, Atlas
+    ``seed+1+num_shards``); the delta stream is pushed far past them
+    and keyed on the extension fingerprint so distinct extensions of
+    one base never share query names.
     """
     return config.seed + 100003 + int(fingerprint[:8], 16) % 899989
 
@@ -204,6 +204,10 @@ def extend_campaign(
     ``"auto"`` (default) adopts an interrupted or finished delta,
     ``"force"`` discards and re-measures it.
     """
+    # The executor imports this package; import its pipeline lazily.
+    from repro.parallel.executor import _merge
+    from repro.parallel.worker import ShardResult
+
     base = CampaignCheckpoint.load(base_dir)
     if base.manifest.get("status") != "complete":
         raise CheckpointError(
@@ -236,11 +240,15 @@ def extend_campaign(
     )
 
     delta = ext.load_result("delta")
-    if delta is None:
-        delta, replayed, measured = _measure_delta(plan, ext, progress)
-        ext.store_result("delta", delta)
+    if isinstance(delta, ShardResult):
+        replayed = delta.resumed_batches + delta.measured_batches
+        measured = 0
     else:
-        replayed, measured = delta["num_batches"], 0
+        # Absent (or a pre-ShardResult blob): measure, or replay the
+        # delta's finished ledger without measuring anything.
+        delta = _measure_delta(plan, ext, progress)
+        ext.store_result("delta", delta)
+        replayed, measured = delta.resumed_batches, delta.measured_batches
     ext.record_run(
         {
             "units": [
@@ -254,7 +262,8 @@ def extend_campaign(
     )
     ext.mark_complete()
 
-    delta_dataset = _build_delta_dataset(plan, delta)
+    delta_result = _merge(plan.config, [delta], [])
+    delta_dataset = delta_result.dataset
     merged = dataset.merge(delta_dataset)
     entry = {
         "extension": extension_id,
@@ -281,15 +290,17 @@ def extend_campaign(
         doh_added=entry["doh_added"],
         do53_added=entry["do53_added"],
         clients_added=entry["clients_added"],
-        failures=list(delta["failures"]),
+        failures=delta_result.failures,
     )
 
 
 def _measure_delta(
     plan: ExtensionPlan, ext: CampaignCheckpoint, progress
-) -> Tuple[Dict, int, int]:
-    """Run the delta campaign under *ext*'s ledger; returns the plain-
-    data delta blob plus (replayed, measured) batch counters."""
+) -> ShardResult:
+    """Run the delta campaign under *ext*'s ledger; returns it as one
+    shard result."""
+    from repro.parallel.worker import reduce_shard
+
     world = build_world(plan.config)
     campaign = Campaign(
         world,
@@ -311,60 +322,7 @@ def _measure_delta(
         )
     finally:
         checkpoint.close()
-    batch_size = max(1, plan.config.batch_size)
-    num_batches = (len(nodes) + batch_size - 1) // batch_size
-    replayed = checkpoint.resumed_batches
-
-    kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
-    kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
-    # Canonical delta order, independent of batching or resume point.
-    kept_doh.sort(key=lambda raw: (raw.node_id, raw.run_index, raw.provider))
-    kept_do53.sort(key=lambda raw: (raw.node_id, raw.run_index))
-
-    qname_map: Dict[str, str] = {}
-    for entry in world.auth_server.query_log:
-        qname_map.setdefault(str(entry.qname), entry.src_ip)
-
-    measured_ids = {raw.node_id for raw in kept_doh if raw.node_id}
-    measured_ids.update(raw.node_id for raw in kept_do53 if raw.node_id)
-    delta = {
-        "kept_doh": kept_doh,
-        "kept_do53": kept_do53,
-        "dropped_doh": len(dropped_doh),
-        "dropped_do53": len(dropped_do53),
-        "qname_map": sorted(qname_map.items()),
-        "client_entries": [
-            (node.node_id, node.ip, node.claimed_country)
-            for node in nodes
-            if node.node_id in measured_ids
-        ],
-        "geo_snapshot": world.geolocation.snapshot(),
-        "failures": sorted(campaign.failures, key=lambda f: f.node_id),
-        "num_batches": num_batches,
-    }
-    return delta, replayed, num_batches - replayed
-
-
-def _build_delta_dataset(plan: ExtensionPlan, delta: Dict) -> Dataset:
-    """Process a raw delta blob into a mergeable :class:`Dataset`."""
-    geolocation = GeolocationService.from_snapshot(
-        delta["geo_snapshot"],
-        error_rate=plan.config.geolocation_error_rate,
+    return reduce_shard(
+        campaign, nodes, raw_doh, raw_do53, shard_index=0,
+        checkpoint=checkpoint,
     )
-    builder = DatasetBuilder(
-        geolocation,
-        min_clients_per_country=plan.config.population.analyzed_threshold,
-    )
-    builder.ingest_qname_map(delta["qname_map"])
-    clients = {
-        node_id: (ip, country)
-        for node_id, ip, country in delta["client_entries"]
-    }
-    for node_id in sorted(clients):
-        ip, country = clients[node_id]
-        builder.add_client(node_id, ip, country)
-    for raw in delta["kept_doh"]:
-        builder.add_doh(raw)
-    for raw in delta["kept_do53"]:
-        builder.add_do53(raw)
-    return builder.build()

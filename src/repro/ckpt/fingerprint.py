@@ -11,7 +11,7 @@ every code-relevant input:
 * the derived :class:`~repro.core.plan.WorldPlan` — so drift in the
   plan-fitting code itself (which would build a different fleet from
   the same config) also invalidates old ledgers,
-* the execution shape — serial vs sharded, shard count, node cap,
+* the execution shape — sharded or extension, shard count, node cap,
   client-stream seeds/name tags, Atlas parameters — because those
   choose which RNG streams measure which node.
 
@@ -38,8 +38,8 @@ def campaign_fingerprint(config, execution: Optional[Dict] = None) -> str:
     """Stable hex digest identifying one resumable campaign.
 
     *execution* is a plain JSON-able dict describing the execution
-    shape (mode, shard count, Atlas parameters...); ``None`` means the
-    bare serial campaign with defaults.
+    shape (mode, shard count, Atlas parameters...); ``None`` hashes
+    an empty one.
     """
     plan = WorldPlan.for_config(config)
     material = "\n".join(

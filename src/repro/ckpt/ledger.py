@@ -1,7 +1,7 @@
 """The append-only, checksummed sample journal.
 
-One ledger file per unit of resumable work (the serial campaign, each
-measurement shard, the Atlas task).  The format is JSON Lines; every
+One ledger file per unit of resumable work (each measurement shard,
+an extension delta).  The format is JSON Lines; every
 line is one record::
 
     {"k": <kind>, "n": <seq>, "p": <payload>, "c": <checksum>}

@@ -38,11 +38,14 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.groundtruth import GroundTruthHarness
 from repro.core.world import build_world
 from repro.dataset.store import Dataset
+from repro.parallel.executor import (
+    default_worker_count,
+    run_parallel_campaign,
+)
 from repro.proxy.population import PopulationConfig
 
 __all__ = ["main"]
@@ -75,11 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="RIPE Atlas probes per super-proxy country")
     campaign.add_argument("--workers", type=int, default=1,
                           help="worker processes for the sharded executor "
-                               "(1 = serial, 0 = auto-size to available "
-                               "CPUs; see docs/performance.md)")
+                               "(1 = every shard inline in this process, "
+                               "0 = auto-size to available CPUs; see "
+                               "docs/performance.md)")
     campaign.add_argument("--shards", type=int, default=None,
                           help="fleet shard count (part of the experiment "
-                               "definition; default 8 when sharded)")
+                               "definition; default 8)")
     campaign.add_argument("--fault-preset", default=None,
                           help="enable deterministic fault injection: "
                                "chaos, churn, overload, burst-loss, or "
@@ -256,72 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serial_batches(config) -> int:
-    """Batches the serial campaign runs (fleet size is plan-derived)."""
-    from repro.core.plan import WorldPlan
-
-    total = sum(WorldPlan.for_config(config).counts.values())
-    batch = max(1, config.batch_size)
-    return (total + batch - 1) // batch
-
-
-def _run_serial_campaign(args, config):
-    """The workers=1 campaign path, optionally checkpointed."""
-    from repro.obs import Observability
-
-    checkpoint = None
-    if args.checkpoint_dir:
-        from repro.ckpt import CampaignCheckpoint
-
-        checkpoint = CampaignCheckpoint.open(
-            args.checkpoint_dir,
-            config,
-            execution={
-                "mode": "serial",
-                "atlas_probes_per_country": args.atlas_probes,
-                "observe": bool(args.observe),
-            },
-            resume=args.resume,
-        )
-        cached = checkpoint.load_result("serial")
-        if cached is not None:
-            print("checkpoint {} already holds the finished campaign; "
-                  "replaying it".format(args.checkpoint_dir))
-            batches = _serial_batches(config)
-            checkpoint.record_run({"workers": 1, "units": [{
-                "role": "serial", "batches_replayed": batches,
-                "batches_measured": 0}]})
-            checkpoint.mark_complete()
-            return cached
-
-    print("building world (scale={}, seed={})...".format(
-        args.scale, args.seed))
-    world = build_world(config)
-    print("  {} hosts, {} exit nodes".format(
-        len(world.network), len(world.nodes())))
-    print("running campaign...")
-    campaign = Campaign(
-        world,
-        atlas_probes_per_country=args.atlas_probes,
-        obs=Observability() if args.observe else None,
-    )
-    if checkpoint is None:
-        return campaign.run()
-    measure = checkpoint.measure_checkpoint("serial")
-    try:
-        result = campaign.run(checkpoint=measure)
-    finally:
-        measure.close()
-    checkpoint.store_result("serial", result)
-    batches = _serial_batches(config)
-    checkpoint.record_run({"workers": 1, "units": [{
-        "role": "serial",
-        "batches_replayed": measure.resumed_batches,
-        "batches_measured": batches - measure.resumed_batches}]})
-    checkpoint.mark_complete()
-    return result
-
-
 def _checkpoint_summary(directory):
     """Manifest-embeddable provenance of a checkpoint directory."""
     from repro.ckpt import CampaignCheckpoint
@@ -350,28 +288,22 @@ def _cmd_campaign(args) -> int:
         faults=faults,
     )
     started = time.time()
-    if args.workers != 1 or args.shards is not None:
-        from repro.parallel import run_parallel_campaign
-        from repro.parallel.executor import default_worker_count
-
-        workers = args.workers if args.workers > 0 else default_worker_count()
-        print("running sharded campaign (scale={}, seed={}, workers={}, "
-              "shards={})...".format(args.scale, args.seed, workers,
-                                     args.shards or "default"))
-        result = run_parallel_campaign(
-            config,
-            workers=workers,
-            num_shards=args.shards,
-            atlas_probes_per_country=args.atlas_probes,
-            shard_timeout_s=args.shard_timeout,
-            max_shard_retries=args.shard_retries,
-            observe=args.observe,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            break_even_nodes=args.parallel_break_even,
-        )
-    else:
-        result = _run_serial_campaign(args, config)
+    workers = args.workers if args.workers > 0 else default_worker_count()
+    print("running campaign (scale={}, seed={}, workers={}, "
+          "shards={})...".format(args.scale, args.seed, workers,
+                                 args.shards or "default"))
+    result = run_parallel_campaign(
+        config,
+        workers=workers,
+        num_shards=args.shards,
+        atlas_probes_per_country=args.atlas_probes,
+        shard_timeout_s=args.shard_timeout,
+        max_shard_retries=args.shard_retries,
+        observe=args.observe,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+        break_even_nodes=args.parallel_break_even,
+    )
     dataset = result.dataset
     print("  " + dataset.summary())
     print("  discard rate {:.2%}".format(result.discard_rate))

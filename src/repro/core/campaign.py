@@ -5,17 +5,18 @@ DoH measurements (one per provider) and one Do53 measurement, all
 through the same node (session stickiness), with fresh UUID subdomains
 throughout.  Two runs per client, as in the paper.
 
-Afterwards:
-
-* data points whose BrightData country label disagrees with the
-  Maxmind lookup of the exit /24 are discarded (§3.5),
-* Do53 samples from the 11 super-proxy countries are marked invalid
-  and replaced by RIPE Atlas measurements (§3.5),
-* DoH queries are joined against the authoritative server's log to
-  identify the serving PoP (§5.2).
-
 Measurements for different clients run concurrently in simulation
 (the real campaign spanned April–May 2021), batched to bound memory.
+
+:class:`Campaign` measures one world (:meth:`Campaign.measure`) and
+runs the RIPE Atlas supplement (:meth:`Campaign.collect_atlas`).  The
+dataset itself is assembled by the sharded executor
+(:func:`repro.parallel.run_parallel_campaign`): each shard drops data
+points whose BrightData country label disagrees with the Maxmind
+lookup of the exit /24 (§3.5) and reduces the authoritative server's
+log for the PoP join (§5.2); the merge then marks the Do53 samples of
+the 11 super-proxy countries invalid and adds the Atlas measurements
+in their place (§3.5).
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from repro.atlas.api import AtlasClient
 from repro.atlas.probes import build_probes
 from repro.core.client import MeasurementClient
 from repro.core.timeline import Do53Raw, DohRaw
-from repro.core.validation import filter_mismatched, mismatch_rate
 from repro.core.world import World
-from repro.dataset.builder import DatasetBuilder
 from repro.dataset.store import Dataset
 from repro.doh.provider import PROVIDER_CONFIGS
 from repro.faults.plan import WORKER_CRASH_EXIT
@@ -94,12 +93,12 @@ class CampaignResult:
 
 
 class Campaign:
-    """Runs the full data collection over a built world."""
+    """Runs the data collection over a built world."""
 
     def __init__(
         self,
         world: World,
-        atlas_probes_per_country: int = 20,
+        atlas_probes_per_country: int,
         atlas_repetitions: int = 2,
         client_seed: Optional[int] = None,
         client_name_tag: str = "",
@@ -110,11 +109,14 @@ class Campaign:
         include_do53: bool = True,
         shard_index: Optional[int] = None,
     ) -> None:
-        """*client_seed*/*client_name_tag* isolate the measurement
+        """*atlas_probes_per_country*/*atlas_repetitions* size the
+        RIPE Atlas supplement :meth:`collect_atlas` runs; a campaign
+        that only measures the fleet passes 0.
+
+        *client_seed*/*client_name_tag* isolate the measurement
         client's RNG stream and query-name namespace; the sharded
         executor derives both from the shard index so shards diverge
-        deterministically (``repro.parallel``).  The defaults reproduce
-        the single-process campaign exactly.
+        deterministically (``repro.parallel``).
 
         *max_node_retries* bounds how often a node task that raised is
         retried with a fresh session (BrightData-style peer rotation)
@@ -133,7 +135,8 @@ class Campaign:
         third skips the per-run Do53 measurement (a provider-only
         delta must not duplicate the base campaign's Do53 samples).
         *shard_index* identifies this campaign to the ``worker_crash``
-        fault (None for the serial campaign).
+        fault (None outside the sharded executor, e.g. an extension
+        delta).
         """
         self.world = world
         self.atlas_probes_per_country = atlas_probes_per_country
@@ -270,9 +273,10 @@ class Campaign:
     ) -> Tuple[List[DohRaw], List[Do53Raw]]:
         """Run the batched measurement phase only; returns raw records.
 
-        This is the half of :meth:`run` the sharded executor runs in
-        worker processes — everything after it (validation, dataset
-        build, Atlas) happens on merged records in the parent.
+        Each shard of the executor runs this in its worker;
+        validation, the PoP join and the dataset build happen on the
+        returned records (:func:`repro.parallel.worker.reduce_shard`,
+        then the executor's merge).
 
         *checkpoint*, if given, is a
         :class:`~repro.ckpt.checkpoint.MeasureCheckpoint`: every
@@ -402,9 +406,9 @@ class Campaign:
     ) -> None:
         """Scrape metrics for a finished measurement phase.
 
-        Totals use ``set_counter`` so calling this again (``run()``
-        re-scrapes after Atlas) refreshes rather than double-counts;
-        histograms are filled exactly once, here.
+        Totals use ``set_counter`` so a later re-scrape refreshes
+        rather than double-counts; histograms are filled exactly once,
+        here.
         """
         metrics = self.obs.metrics
         metrics.set_counter("campaign.raw_doh", len(raw_doh))
@@ -425,81 +429,6 @@ class Campaign:
             if raw.success:
                 metrics.observe("do53.dns_ms", raw.dns_ms)
         collect_world_metrics(self.world, metrics)
-
-    def run(
-        self,
-        nodes: Optional[Sequence[ExitNode]] = None,
-        progress=None,
-        checkpoint=None,
-    ) -> CampaignResult:
-        """Execute the campaign; returns the processed dataset.
-
-        *progress*, if given, is called as ``progress(done, total)``
-        after every batch (long full-scale runs print from it).
-        *checkpoint* makes the measurement phase resumable (see
-        :meth:`measure`); the post-measurement phases (validation,
-        dataset build, Atlas) are recomputed deterministically from the
-        replayed records and restored world on every resume.
-        """
-        world = self.world
-        if nodes is None:
-            nodes = world.nodes()
-        raw_doh, raw_do53 = self.measure(nodes, progress, checkpoint)
-
-        # -- Maxmind validation (discard label mismatches) -----------------
-        kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
-        kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
-
-        builder = DatasetBuilder(
-            world.geolocation,
-            min_clients_per_country=world.config.population.analyzed_threshold,
-        )
-        builder.ingest_auth_log(world.auth_server.query_log)
-
-        measured_node_ids = set()
-        for raw in kept_doh:
-            if raw.node_id:
-                measured_node_ids.add(raw.node_id)
-        for raw in kept_do53:
-            if raw.node_id:
-                measured_node_ids.add(raw.node_id)
-        node_by_id = {node.node_id: node for node in nodes}
-        for node_id in sorted(measured_node_ids):
-            node = node_by_id.get(node_id)
-            if node is None:
-                continue
-            builder.add_client(node.node_id, node.ip, node.claimed_country)
-
-        for raw in kept_doh:
-            builder.add_doh(raw)
-        for raw in kept_do53:
-            builder.add_do53(raw)
-
-        # -- RIPE Atlas supplement for the 11 super-proxy countries --------
-        self._run_atlas(builder)
-
-        metrics_snapshot = None
-        traces = None
-        if self.obs is not None:
-            # Refresh world totals to cover the Atlas phase too.
-            collect_world_metrics(world, self.obs.metrics)
-            self.obs.metrics.set_counter("campaign.discarded_doh",
-                                         len(dropped_doh))
-            self.obs.metrics.set_counter("campaign.discarded_do53",
-                                         len(dropped_do53))
-            metrics_snapshot = self.obs.metrics.snapshot()
-            traces = self.obs.trace
-
-        return CampaignResult(
-            dataset=builder.build(),
-            raw_doh=kept_doh,
-            raw_do53=kept_do53,
-            discarded_doh=len(dropped_doh),
-            discarded_do53=len(dropped_do53),
-            failures=list(self.failures),
-            metrics=metrics_snapshot,
-            traces=traces,
-        )
 
     def collect_atlas(self) -> List[AtlasRawSample]:
         """Run the RIPE Atlas supplement; returns raw samples.
@@ -540,7 +469,3 @@ class Campaign:
                          result.time_ms)
                     )
         return samples
-
-    def _run_atlas(self, builder: DatasetBuilder) -> None:
-        for probe_id, country, index, time_ms in self.collect_atlas():
-            builder.add_atlas_do53(probe_id, country, index, time_ms)

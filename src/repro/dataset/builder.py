@@ -45,22 +45,15 @@ class DatasetBuilder:
 
     # -- auth-log join ------------------------------------------------------
 
-    def ingest_auth_log(self, entries: Iterable) -> None:
-        """Record which resolver asked for each unique qname."""
-        for entry in entries:
-            qname = str(entry.qname)
-            # First query wins; retries come from the same resolver.
-            self._qname_resolver.setdefault(qname, entry.src_ip)
-
     def ingest_qname_map(
         self, pairs: Iterable[Tuple[str, str]]
     ) -> None:
-        """Merge pre-reduced ``(qname, resolver_ip)`` pairs.
+        """Record which resolver asked for each unique qname.
 
-        The sharded executor reduces each worker's authoritative query
-        log to this form before shipping it across the process
-        boundary; first occurrence wins, matching
-        :meth:`ingest_auth_log`.
+        Each shard reduces its authoritative query log to
+        ``(qname, resolver_ip)`` pairs before shipping it across the
+        process boundary; first occurrence wins (retries come from the
+        same resolver).
         """
         for qname, src_ip in pairs:
             self._qname_resolver.setdefault(qname, src_ip)

@@ -164,8 +164,8 @@ class WorkerCrash:
     The crash fires only on a **fresh** start (a run that begins at
     batch 0); a resumed run sails past the crash point, which is what
     makes recovery testable and terminating.  ``shard_index`` narrows
-    the blast to one shard of the parallel executor (``None`` crashes
-    the serial campaign and every shard alike).
+    the blast to one shard of the executor (``None`` crashes every
+    shard alike).
     """
 
     after_batches: int = 1

@@ -14,15 +14,14 @@ Two RNG-stream rules make that work:
   sees the same Internet (hosts, IPs, resolvers, PoPs, node profiles);
 * **streams that must diverge** between shards — the measurement
   client's query-name randomness — are seeded ``config.seed + 1 +
-  shard_index`` (the serial campaign's client stream is
-  ``config.seed + 1``; shard 0 lines up with it), and every shard
-  additionally tags its query names (``s<k>-u...``) so uniqueness
-  across shards is structural, not probabilistic.
+  shard_index``, and every shard additionally tags its query names
+  (``s<k>-u...``) so uniqueness across shards is structural, not
+  probabilistic.
 
 Note that the shard *count* is part of the experiment definition, just
-like ``batch_size`` is for the serial campaign: nodes measured in the
-same shard share the simulated-world RNG streams, so re-partitioning
-the fleet changes the sampled timings (not the trends).  Fixing
+like ``batch_size`` is: nodes measured in the same shard share the
+simulated-world RNG streams, so re-partitioning the fleet changes the
+sampled timings (not the trends).  Fixing
 ``num_shards`` and varying ``workers`` changes wall-clock time only.
 """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ckpt.checkpoint import (
     MeasureCheckpoint,
@@ -39,11 +39,13 @@ from repro.core.world import build_world
 from repro.geo.geolocate import GeoRecord
 from repro.obs import Observability
 from repro.parallel.sharding import ShardSpec, shard_items
+from repro.proxy.exitnode import ExitNode
 
 __all__ = [
     "AtlasTask",
     "ShardResult",
     "ShardTask",
+    "reduce_shard",
     "run_atlas_task",
     "run_measurement_shard",
 ]
@@ -183,31 +185,13 @@ def run_measurement_shard(
         if checkpoint is not None:
             checkpoint.close()
 
-    kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
-    kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
-
-    qname_map: Dict[str, str] = {}
-    for entry in world.auth_server.query_log:
-        qname_map.setdefault(str(entry.qname), entry.src_ip)
-
-    measured_ids = set()
-    for raw in kept_doh:
-        if raw.node_id:
-            measured_ids.add(raw.node_id)
-    for raw in kept_do53:
-        if raw.node_id:
-            measured_ids.add(raw.node_id)
-    client_entries = [
-        (node.node_id, node.ip, node.claimed_country)
-        for node in nodes
-        if node.node_id in measured_ids
-    ]
-
-    metrics_snapshot = None
-    trace_snapshot = None
+    result = reduce_shard(
+        campaign, nodes, raw_doh, raw_do53, spec.shard_index, checkpoint
+    )
     if obs is not None:
-        obs.metrics.set_counter("campaign.discarded_doh", len(dropped_doh))
-        obs.metrics.set_counter("campaign.discarded_do53", len(dropped_do53))
+        obs.metrics.set_counter("campaign.discarded_doh", result.dropped_doh)
+        obs.metrics.set_counter("campaign.discarded_do53",
+                                result.dropped_do53)
         # Wall clock is inherently nondeterministic: a gauge under a
         # shard-unique name, never a counter, so determinism tests can
         # compare counters/histograms and ignore gauges wholesale.
@@ -215,32 +199,62 @@ def run_measurement_shard(
             "shard.{}.wall_s".format(spec.shard_index),
             time.perf_counter() - wall_start,
         )
-        metrics_snapshot = obs.metrics.snapshot()
-        trace_snapshot = obs.trace.snapshot()
+        result.metrics = obs.metrics.snapshot()
+        result.traces = obs.trace.snapshot()
+    if result_path is not None:
+        store_unit_result(result_path, task.fingerprint, role, result)
+    return result
 
-    batch_size = max(1, config.batch_size)
+
+def reduce_shard(
+    campaign: Campaign,
+    nodes: Sequence[ExitNode],
+    raw_doh: List[DohRaw],
+    raw_do53: List[Do53Raw],
+    shard_index: int,
+    checkpoint: Optional[MeasureCheckpoint],
+) -> ShardResult:
+    """Reduce what *campaign* measured on *nodes* to a mergeable result.
+
+    Drops rows whose BrightData label disagrees with the Maxmind
+    lookup (§3.5), reduces the authoritative log to the ``(qname,
+    resolver_ip)`` pairs the PoP join needs (§5.2), and lists the
+    measured nodes for client registration.  Shard 0 also ships the
+    geolocation snapshot :func:`repro.parallel.executor._merge` needs.
+    The batch counters say how much *checkpoint* replayed.
+    """
+    world = campaign.world
+    kept_doh, dropped_doh = filter_mismatched(raw_doh, world.geolocation)
+    kept_do53, dropped_do53 = filter_mismatched(raw_do53, world.geolocation)
+
+    qname_map: Dict[str, str] = {}
+    for entry in world.auth_server.query_log:
+        qname_map.setdefault(str(entry.qname), entry.src_ip)
+
+    measured_ids = {raw.node_id for raw in kept_doh if raw.node_id}
+    measured_ids.update(raw.node_id for raw in kept_do53 if raw.node_id)
+    batch_size = max(1, world.config.batch_size)
     num_batches = (len(nodes) + batch_size - 1) // batch_size
     resumed = checkpoint.resumed_batches if checkpoint is not None else 0
-    result = ShardResult(
-        shard_index=spec.shard_index,
+    return ShardResult(
+        shard_index=shard_index,
         kept_doh=kept_doh,
         kept_do53=kept_do53,
         dropped_doh=len(dropped_doh),
         dropped_do53=len(dropped_do53),
         qname_map=sorted(qname_map.items()),
-        client_entries=client_entries,
+        client_entries=[
+            (node.node_id, node.ip, node.claimed_country)
+            for node in nodes
+            if node.node_id in measured_ids
+        ],
         geo_snapshot=(
-            world.geolocation.snapshot() if spec.shard_index == 0 else None
+            world.geolocation.snapshot() if shard_index == 0 else None
         ),
         failures=list(campaign.failures),
-        metrics=metrics_snapshot,
-        traces=trace_snapshot,
         resumed_batches=resumed,
         measured_batches=num_batches - resumed,
     )
-    if result_path is not None:
-        store_unit_result(result_path, task.fingerprint, role, result)
-    return result
 
 
 def run_atlas_task(

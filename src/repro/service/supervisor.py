@@ -96,16 +96,29 @@ class ServiceError(Exception):
     """Base class for supervisor failures."""
 
 
-class GracefulShutdown(Exception):
-    """Raised in the main thread when SIGTERM/SIGINT arrives."""
+class GracefulShutdown(BaseException):
+    """Raised in the main thread when SIGTERM/SIGINT arrives.
+
+    A ``BaseException``, like :class:`KeyboardInterrupt`: it is raised
+    asynchronously wherever the main thread happens to be, and must
+    unwind through every ``except Exception`` on the way.  The
+    campaign's per-node failure isolation would otherwise record it as
+    a node error and re-measure the node (perturbing the dataset), and
+    the pool's result poll would drop it (losing the signal).
+    """
 
     def __init__(self, signum: int) -> None:
         super().__init__("received signal {}".format(signum))
         self.signum = signum
 
 
-class EpochDeadlineExceeded(ServiceError):
-    """The per-epoch watchdog (SIGALRM) fired."""
+class EpochDeadlineExceeded(BaseException):
+    """The per-epoch watchdog (SIGALRM) fired.
+
+    A ``BaseException`` for the same reason as
+    :class:`GracefulShutdown`; the supervisor retries the epoch on it
+    explicitly.
+    """
 
 
 class EpochFailedError(ServiceError):
@@ -493,7 +506,7 @@ class ServiceSupervisor:
                     )
             except (GracefulShutdown, QuarantinedCheckpointError):
                 raise
-            except Exception as exc:
+            except (Exception, EpochDeadlineExceeded) as exc:
                 self.metrics.inc("service.epoch_retries")
                 journal.append(
                     "epoch-retry",

@@ -19,24 +19,19 @@ from repro.analysis.phases import (
     trace_rtt,
     trace_t_doh,
 )
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.doh_timing import compute_rtt_estimate, compute_t_doh
-from repro.core.world import build_world
-from repro.obs import Observability
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 
 @pytest.fixture(scope="module")
 def observed():
     config = ReproConfig(population=PopulationConfig(scale=0.01))
-    world = build_world(config)
-    obs = Observability()
-    campaign = Campaign(
-        world, atlas_probes_per_country=1, atlas_repetitions=1, obs=obs
+    return run_parallel_campaign(
+        config, workers=1, num_shards=1, max_nodes=16,
+        atlas_probes_per_country=1, atlas_repetitions=1, observe=True,
     )
-    result = campaign.run(nodes=world.nodes()[:16])
-    return result
 
 
 class TestDecomposition:

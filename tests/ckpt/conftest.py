@@ -16,20 +16,21 @@ import sys
 
 import pytest
 
-#: One serial checkpointed campaign, parameterised entirely via argv:
+#: One inline single-shard checkpointed campaign, parameterised
+#: entirely via argv:
 #:   runner.py <faults> <crash_after> <ckpt_dir> <resume> <out.json>
 #: faults       -- "none" or "chaos"
 #: crash_after  -- 0 for no crash, N to die before batch index N
 #: ckpt_dir     -- "-" for an uncheckpointed run
+#: With workers=1 the shard runs in the runner process itself, so a
+#: WorkerCrash ``os._exit``s the runner, as the drills need.
 RUNNER = '''
 import dataclasses
 import sys
 
-from repro.ckpt import CampaignCheckpoint
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
 from repro.faults.plan import FaultPlan, WorkerCrash
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 faults, crash_after, ckpt_dir, resume, out = sys.argv[1:6]
@@ -45,25 +46,14 @@ config = ReproConfig(
     batch_size=25,
     faults=plan,
 )
-world = build_world(config)
-campaign = Campaign(world, atlas_probes_per_country=0)
-if ckpt_dir == "-":
-    result = campaign.run()
-else:
-    checkpoint = CampaignCheckpoint.open(
-        ckpt_dir, config, execution={"mode": "serial"}, resume=resume
-    )
-    measure = checkpoint.measure_checkpoint("serial")
-    try:
-        result = campaign.run(checkpoint=measure)
-    finally:
-        measure.close()
-    checkpoint.store_result("serial", result)
-    checkpoint.record_run({"workers": 1, "units": [{
-        "role": "serial",
-        "batches_replayed": measure.resumed_batches,
-    }]})
-    checkpoint.mark_complete()
+result = run_parallel_campaign(
+    config,
+    workers=1,
+    num_shards=1,
+    atlas_probes_per_country=0,
+    checkpoint_dir=None if ckpt_dir == "-" else ckpt_dir,
+    resume=resume,
+)
 result.dataset.save(out)
 '''
 

@@ -18,9 +18,8 @@ from repro.ckpt import (
     plan_extension,
 )
 from repro.ckpt.extend import fleet_node_ids
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 from tests.ckpt.conftest import read_manifest
@@ -34,19 +33,10 @@ BASE_CONFIG = ReproConfig(
 def base(tmp_path_factory):
     """One completed, checkpointed base campaign shared by the module."""
     directory = str(tmp_path_factory.mktemp("base") / "ckpt")
-    checkpoint = CampaignCheckpoint.open(
-        directory, BASE_CONFIG, execution={"mode": "serial"}
+    result = run_parallel_campaign(
+        BASE_CONFIG, workers=1, num_shards=1, atlas_probes_per_country=0,
+        checkpoint_dir=directory,
     )
-    world = build_world(BASE_CONFIG)
-    campaign = Campaign(world, atlas_probes_per_country=0)
-    measure = checkpoint.measure_checkpoint("serial")
-    try:
-        result = campaign.run(checkpoint=measure)
-    finally:
-        measure.close()
-    checkpoint.store_result("serial", result)
-    checkpoint.record_run({"workers": 1, "units": [{"role": "serial"}]})
-    checkpoint.mark_complete()
     return directory, result.dataset
 
 
@@ -167,7 +157,7 @@ class TestGuards:
     def test_incomplete_base_refused(self, tmp_path):
         directory = str(tmp_path / "ckpt")
         CampaignCheckpoint.open(directory, BASE_CONFIG,
-                                execution={"mode": "serial"})
+                                execution={"mode": "parallel"})
         with pytest.raises(CheckpointError, match="complete"):
             extend_campaign(directory, None, providers=("adguard",))
 

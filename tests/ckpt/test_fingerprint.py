@@ -29,7 +29,7 @@ def small_config(seed=424, scale=0.005, **overrides):
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-EXEC = {"mode": "serial"}
+EXEC = {"mode": "parallel", "num_shards": 1}
 
 
 class TestFingerprint:
@@ -55,11 +55,11 @@ class TestFingerprint:
 
     def test_execution_shape_changes_fingerprint(self):
         config = small_config()
-        serial = campaign_fingerprint(config, {"mode": "serial"})
-        sharded = campaign_fingerprint(
+        one_shard = campaign_fingerprint(config, EXEC)
+        four_shards = campaign_fingerprint(
             config, {"mode": "parallel", "num_shards": 4}
         )
-        assert serial != sharded
+        assert one_shard != four_shards
 
     def test_execution_key_order_is_canonical(self):
         config = small_config()
@@ -118,7 +118,7 @@ class TestResumeModes:
         directory = str(tmp_path / "ckpt")
         old = CampaignCheckpoint.open(directory, small_config(seed=424),
                                       EXEC)
-        stale = os.path.join(directory, "serial.ledger")
+        stale = os.path.join(directory, "shard-0.ledger")
         with open(stale, "w") as handle:
             handle.write("stale journal\n")
         fresh = CampaignCheckpoint.open(

@@ -14,7 +14,7 @@ from repro.ckpt.ledger import (
 
 def write_journal(path, batches=3):
     with LedgerWriter(str(path)) as writer:
-        writer.append("header", {"fingerprint": "abc", "role": "serial"})
+        writer.append("header", {"fingerprint": "abc", "role": "shard-0"})
         for index in range(batches):
             writer.append("batch", {"i": index, "doh": [[1.5, "x"]]})
         writer.append("done", {"batches": batches})
@@ -22,7 +22,7 @@ def write_journal(path, batches=3):
 
 class TestRoundtrip:
     def test_records_round_trip(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path)
         load = read_ledger(str(path))
         assert [r.kind for r in load.records] == [
@@ -39,7 +39,7 @@ class TestRoundtrip:
     def test_floats_survive_exactly(self, tmp_path):
         # The byte-identity guarantee rests on json round-tripping
         # IEEE doubles exactly.
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         values = [0.1 + 0.2, 1e-308, 123456.789012345, 2.0 ** 52 + 0.5]
         with LedgerWriter(str(path)) as writer:
             writer.append("header", {})
@@ -50,7 +50,7 @@ class TestRoundtrip:
 
 class TestTornTail:
     def test_partial_last_line_dropped(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path, batches=2)
         clean = path.stat().st_size
         with open(path, "ab") as handle:
@@ -61,7 +61,7 @@ class TestTornTail:
         assert load.clean_bytes == clean
 
     def test_truncate_to_restores_clean_prefix(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path, batches=2)
         with open(path, "ab") as handle:
             handle.write(b"garbage after a crash")
@@ -74,7 +74,7 @@ class TestTornTail:
     def test_torn_final_checksum_dropped(self, tmp_path):
         # A complete-looking final line with a wrong checksum is still
         # a torn write (the crash can land mid-payload after the quote).
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path, batches=1)
         lines = path.read_bytes().splitlines(keepends=True)
         tampered = lines[-1].replace(b'"batches":1', b'"batches":9')
@@ -86,7 +86,7 @@ class TestTornTail:
 
 class TestCorruption:
     def test_bad_checksum_mid_file_raises(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path, batches=3)
         lines = path.read_bytes().splitlines(keepends=True)
         lines[2] = lines[2].replace(b'"i":1', b'"i":7')
@@ -95,7 +95,7 @@ class TestCorruption:
             read_ledger(str(path))
 
     def test_sequence_gap_raises(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         with LedgerWriter(str(path)) as writer:
             writer.append("header", {})
         with LedgerWriter(str(path), next_seq=5) as writer:
@@ -106,7 +106,7 @@ class TestCorruption:
             read_ledger(str(path))
 
     def test_first_record_must_be_header(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         with LedgerWriter(str(path)) as writer:
             writer.append("batch", {"i": 0})
             writer.append("batch", {"i": 1})
@@ -114,7 +114,7 @@ class TestCorruption:
             read_ledger(str(path))
 
     def test_unparsable_mid_record_raises(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path, batches=2)
         lines = path.read_bytes().splitlines(keepends=True)
         lines[1] = b"not json at all\n"
@@ -125,14 +125,14 @@ class TestCorruption:
 
 class TestWriterDiscipline:
     def test_appends_are_line_delimited_json(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         write_journal(path, batches=1)
         for line in path.read_bytes().splitlines():
             record = json.loads(line)
             assert set(record) == {"k", "n", "p", "c"}
 
     def test_resumed_writer_continues_sequence(self, tmp_path):
-        path = tmp_path / "serial.ledger"
+        path = tmp_path / "shard-0.ledger"
         with LedgerWriter(str(path)) as writer:
             writer.append("header", {})
             writer.append("batch", {"i": 0})

@@ -57,7 +57,7 @@ def test_crash_then_resume_is_byte_identical(runner, tmp_path, faults):
 
 def test_sigkill_then_resume_is_byte_identical(runner, tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    ledger = os.path.join(ckpt, "serial.ledger")
+    ledger = os.path.join(ckpt, "shard-0.ledger")
     resumed_out = str(tmp_path / "resumed.json")
     baseline_out = str(tmp_path / "baseline.json")
 

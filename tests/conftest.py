@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.groundtruth import GroundTruthHarness
 from repro.core.world import build_world
@@ -19,6 +18,7 @@ from repro.geo.coords import LatLon
 from repro.netsim.engine import Simulator
 from repro.netsim.host import SiteProfile
 from repro.netsim.network import Network
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 TEST_SEED = 987
@@ -73,11 +73,11 @@ def small_world():
 
 @pytest.fixture(scope="session")
 def campaign_result(small_world):
-    """A finished campaign over the small world."""
-    campaign = Campaign(
-        small_world, atlas_probes_per_country=4, atlas_repetitions=1
+    """A finished campaign over the small world's config."""
+    return run_parallel_campaign(
+        small_world.config, workers=1, num_shards=1,
+        atlas_probes_per_country=4, atlas_repetitions=1,
     )
-    return campaign.run()
 
 
 @pytest.fixture(scope="session")

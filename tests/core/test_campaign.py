@@ -182,3 +182,33 @@ class TestFailureIsolation:
         assert {f.node_id for f in campaign.failures} == {bad_id}
         assert bad_id not in {raw.node_id for raw in raw_doh}
         assert bad_id not in {raw.node_id for raw in raw_do53}
+
+    @pytest.mark.parametrize("interrupt", ["shutdown", "deadline"])
+    def test_signal_interrupts_are_never_isolated(self, interrupt):
+        # The service's signal handlers raise asynchronously, wherever
+        # the main thread is — often inside a node task.  Recording that
+        # as a node failure would re-measure the node and lose the
+        # signal; it must abort the campaign instead.
+        from repro.core.config import ReproConfig
+        from repro.core.world import build_world
+        from repro.proxy.population import PopulationConfig
+        from repro.service import EpochDeadlineExceeded, GracefulShutdown
+
+        error = (
+            GracefulShutdown(2) if interrupt == "shutdown"
+            else EpochDeadlineExceeded("watchdog")
+        )
+        # A private world: the aborted batch leaves its event queue
+        # mid-flight.
+        world = build_world(
+            ReproConfig(seed=3, population=PopulationConfig(scale=0.003))
+        )
+
+        class Interrupted(Campaign):
+            def _node_task(self, node, sink_doh, sink_do53):
+                raise error
+
+        campaign = Interrupted(world, atlas_probes_per_country=0)
+        with pytest.raises(type(error)):
+            campaign.measure(world.nodes()[:2])
+        assert campaign.failures == []

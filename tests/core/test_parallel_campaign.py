@@ -67,8 +67,8 @@ class TestSharding:
 
     def test_seed_and_tag_derivation(self):
         spec = ShardSpec(shard_index=3, num_shards=8)
-        # Shard 0 lines up with the serial campaign's client stream
-        # (seed + 1); later shards step past it one by one.
+        # Shard 0's client stream is seed + 1; later shards step past
+        # it one by one.
         assert ShardSpec(0, 8).client_seed(100) == 101
         assert spec.client_seed(100) == 104
         assert spec.name_tag() == "s3-"

@@ -79,10 +79,12 @@ class TestConfigPlumbing:
         assert wrong > 0
 
     def test_campaign_discards_more_with_geo_errors(self):
-        from repro.core.campaign import Campaign
+        from repro.parallel import run_parallel_campaign
 
-        noisy = build_world(_config(seed=60, geolocation_error_rate=0.2))
-        result = Campaign(noisy, atlas_probes_per_country=0).run()
+        result = run_parallel_campaign(
+            _config(seed=60, geolocation_error_rate=0.2),
+            workers=1, num_shards=1, atlas_probes_per_country=0,
+        )
         # Geolocation errors masquerade as label mismatches: the §3.5
         # filter discards far more than the 0.88% label noise alone.
         assert result.discard_rate > 0.05

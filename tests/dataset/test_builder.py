@@ -1,7 +1,5 @@
 """Dataset-builder tests: equations applied, PoP join, sanity filter."""
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.core.timeline import Do53Raw, DohRaw
@@ -9,12 +7,6 @@ from repro.dataset.builder import DatasetBuilder
 from repro.geo.coords import LatLon
 from repro.geo.geolocate import GeolocationService
 from repro.proxy.headers import TimelineHeaders
-
-
-@dataclass
-class LogEntry:
-    qname: str
-    src_ip: str
 
 
 def make_raw(qname="u1.a.com", rtt=80.0, dns=20.0, connect=40.0,
@@ -83,16 +75,16 @@ class TestDohProcessing:
         assert "implausible" in sample.error
 
     def test_pop_join_from_auth_log(self, builder):
-        builder.ingest_auth_log([LogEntry("u1.a.com", "30.0.0.1")])
+        builder.ingest_qname_map([("u1.a.com", "30.0.0.1")])
         builder.add_doh(make_raw(qname="u1.a.com"))
         sample = builder.dataset.doh[0]
         assert sample.pop_ip_prefix == "30.0.0.0/24"
         assert sample.pop_lat == pytest.approx(48.9)
 
     def test_pop_join_first_query_wins(self, builder):
-        builder.ingest_auth_log([
-            LogEntry("u1.a.com", "30.0.0.1"),
-            LogEntry("u1.a.com", "20.0.0.1"),  # retry from elsewhere
+        builder.ingest_qname_map([
+            ("u1.a.com", "30.0.0.1"),
+            ("u1.a.com", "20.0.0.1"),  # retry from elsewhere
         ])
         builder.add_doh(make_raw(qname="u1.a.com"))
         assert builder.dataset.doh[0].pop_lat == pytest.approx(48.9)

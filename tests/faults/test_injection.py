@@ -12,9 +12,7 @@ from repro.analysis.failures import (
     failure_reasons,
     provider_failure_rates,
 )
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -25,6 +23,7 @@ from repro.faults import (
     ProviderOutage,
     SuperProxyOverload,
 )
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
 
@@ -159,13 +158,18 @@ def _faulted_config(seed=91, scale=0.006, plan=None):
     )
 
 
+def _campaign(config):
+    return run_parallel_campaign(
+        config, workers=1, num_shards=1, atlas_probes_per_country=0
+    )
+
+
 class TestFaultedCampaign:
     """Acceptance: churn + outage + overload + bursty loss, end to end."""
 
     @pytest.fixture(scope="class")
     def chaos_result(self):
-        world = build_world(_faulted_config())
-        return Campaign(world, atlas_probes_per_country=0).run()
+        return _campaign(_faulted_config())
 
     def test_campaign_completes_under_chaos(self, chaos_result):
         assert chaos_result.dataset.doh
@@ -195,12 +199,8 @@ class TestFaultedCampaign:
 
     def test_same_seed_reruns_byte_identical(self):
         config = _faulted_config(scale=0.004)
-        first = Campaign(
-            build_world(config), atlas_probes_per_country=0
-        ).run()
-        second = Campaign(
-            build_world(config), atlas_probes_per_country=0
-        ).run()
+        first = _campaign(config)
+        second = _campaign(config)
         assert first.dataset.to_json() == second.dataset.to_json()
         assert first.failures == second.failures
 
@@ -214,9 +214,7 @@ class TestOutageRanksWorst:
             provider_outages=(ProviderOutage("quad9", FaultWindow()),),
         )
         config = _faulted_config(seed=92, scale=0.004, plan=plan)
-        result = Campaign(
-            build_world(config), atlas_probes_per_country=0
-        ).run()
+        result = _campaign(config)
         rates = provider_failure_rates(result.dataset)
         assert rates[0].key == "quad9"
         quad9 = rates[0]
@@ -234,9 +232,7 @@ class TestServfailOutage:
             ),
         )
         config = _faulted_config(seed=93, scale=0.004, plan=plan)
-        result = Campaign(
-            build_world(config), atlas_probes_per_country=0
-        ).run()
+        result = _campaign(config)
         quad9 = [s for s in result.dataset.doh if s.provider == "quad9"]
         assert quad9
         assert all(not s.success for s in quad9)

@@ -12,11 +12,8 @@ Two invariants from the design contract:
 
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
 from repro.dataset.csvio import export_csv
-from repro.obs import Observability
 from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 
@@ -34,12 +31,11 @@ def _config() -> ReproConfig:
     return ReproConfig(population=PopulationConfig(scale=0.01))
 
 
-def _run_serial(obs):
-    world = build_world(_config())
-    campaign = Campaign(
-        world, atlas_probes_per_country=1, atlas_repetitions=1, obs=obs
+def _run_single_shard(observe):
+    return run_parallel_campaign(
+        _config(), workers=1, num_shards=1, max_nodes=N_NODES,
+        atlas_probes_per_country=1, atlas_repetitions=1, observe=observe,
     )
-    return campaign.run(nodes=world.nodes()[:N_NODES])
 
 
 def _read_files(directory):
@@ -51,8 +47,8 @@ def _read_files(directory):
 
 class TestObserveNeverPerturbs:
     def test_serial_dataset_bytes_identical_with_obs_on(self, tmp_path):
-        plain = _run_serial(None)
-        observed = _run_serial(Observability())
+        plain = _run_single_shard(False)
+        observed = _run_single_shard(True)
 
         assert observed.metrics is not None
         assert len(observed.traces) > 0

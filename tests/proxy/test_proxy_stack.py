@@ -6,9 +6,21 @@ import pytest
 
 from repro.core.client import MeasurementClient
 from repro.core.doh_timing import compute_rtt_estimate, compute_t_doh
+from repro.core.world import build_world
 from repro.doh.provider import PROVIDER_CONFIGS
 from repro.geo.countries import SUPER_PROXY_COUNTRIES
 from repro.proxy.network import NoPeerAvailable
+
+
+@pytest.fixture(scope="module")
+def small_world(small_world):
+    """A private, fresh copy of the shared small world.
+
+    The assertions below check single samples, whose network draws
+    depend on the world's RNG state: measuring on the session world
+    would make them depend on which other tests measured it first.
+    """
+    return build_world(small_world.config)
 
 
 @pytest.fixture()

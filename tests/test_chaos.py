@@ -10,11 +10,16 @@ import dataclasses
 
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
 from repro.netsim.latency import LatencyParams
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
+
+
+def _campaign(config):
+    return run_parallel_campaign(
+        config, workers=1, num_shards=1, atlas_probes_per_country=0
+    )
 
 
 class TestLossyWorld:
@@ -30,9 +35,7 @@ class TestLossyWorld:
                 queueing_sigma=1.8,
             ),
         )
-        world = build_world(config)
-        campaign = Campaign(world, atlas_probes_per_country=0)
-        return campaign.run()
+        return _campaign(config)
 
     def test_campaign_completes(self, lossy_result):
         assert lossy_result.dataset.doh
@@ -67,8 +70,7 @@ class TestDegenerateConfigs:
             ),
             providers=("cloudflare",),
         )
-        world = build_world(config)
-        result = Campaign(world, atlas_probes_per_country=0).run()
+        result = _campaign(config)
         assert result.dataset.providers() == ["cloudflare"]
 
     def test_one_run_per_client(self):
@@ -78,8 +80,7 @@ class TestDegenerateConfigs:
             ),
             runs_per_client=1,
         )
-        world = build_world(config)
-        result = Campaign(world, atlas_probes_per_country=0).run()
+        result = _campaign(config)
         per_node = {}
         for sample in result.dataset.doh:
             per_node.setdefault(sample.node_id, 0)
@@ -93,6 +94,5 @@ class TestDegenerateConfigs:
             ),
             batch_size=3,
         )
-        world = build_world(config)
-        result = Campaign(world, atlas_probes_per_country=0).run()
+        result = _campaign(config)
         assert result.dataset.successful_doh()

@@ -78,7 +78,7 @@ class TestCli:
         out_path = str(tmp_path / "ds.json")
         csv_dir = str(tmp_path / "csv")
         code = main([
-            "campaign", "--scale", "0.015", "--seed", "5",
+            "campaign", "--scale", "0.015", "--seed", "5", "--shards", "1",
             "--out", out_path, "--csv-dir", csv_dir,
             "--atlas-probes", "2",
         ])
@@ -93,10 +93,22 @@ class TestCli:
             out = capsys.readouterr().out
             assert out.strip(), artifact
 
+    def test_campaign_bytes_independent_of_worker_count(self, tmp_path):
+        # --workers 1 runs the shards inline, --workers 2 on the pool;
+        # both are the same experiment and must write the same bytes.
+        base = ["campaign", "--scale", "0.004", "--seed", "7",
+                "--atlas-probes", "1"]
+        inline = tmp_path / "inline.json"
+        pooled = tmp_path / "pooled.json"
+        assert main(base + ["--workers", "1", "--out", str(inline)]) == 0
+        assert main(base + ["--workers", "2", "--parallel-break-even", "0",
+                            "--out", str(pooled)]) == 0
+        assert inline.read_bytes() == pooled.read_bytes()
+
     def test_faulted_campaign_and_failures_artifact(self, tmp_path, capsys):
         out_path = str(tmp_path / "faulted.json")
         code = main([
-            "campaign", "--scale", "0.004", "--seed", "7",
+            "campaign", "--scale", "0.004", "--seed", "7", "--shards", "1",
             "--fault-preset", "chaos", "--fault-seed", "2",
             "--atlas-probes", "0", "--out", out_path,
         ])
@@ -112,7 +124,7 @@ class TestCli:
     def test_observed_campaign_writes_sidecars(self, tmp_path, capsys):
         out_path = str(tmp_path / "obs.json")
         code = main([
-            "campaign", "--scale", "0.01", "--seed", "5",
+            "campaign", "--scale", "0.01", "--seed", "5", "--shards", "1",
             "--observe", "--atlas-probes", "1", "--out", out_path,
         ])
         assert code == 0
@@ -167,7 +179,7 @@ class TestCli:
                                                          capsys):
         out_path = str(tmp_path / "plain.json")
         code = main([
-            "campaign", "--scale", "0.004", "--seed", "3",
+            "campaign", "--scale", "0.004", "--seed", "3", "--shards", "1",
             "--atlas-probes", "0", "--out", out_path,
         ])
         assert code == 0

@@ -5,28 +5,34 @@ laws (every successful measurement visible at every layer), and the
 resumption extension.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
 from repro.core.world import build_world
+from repro.faults import FaultPlan
+from repro.parallel import ShardSpec, run_parallel_campaign
+from repro.parallel.executor import _merge
+from repro.parallel.worker import ShardTask, run_measurement_shard
 from repro.proxy.population import PopulationConfig
 
 
+def _tiny_config(seed):
+    return ReproConfig(seed=seed, population=PopulationConfig(scale=0.008))
+
+
 def _tiny_dataset(seed):
-    config = ReproConfig(
-        seed=seed, population=PopulationConfig(scale=0.008)
+    return run_parallel_campaign(
+        _tiny_config(seed), workers=1, num_shards=1,
+        atlas_probes_per_country=2, atlas_repetitions=1,
     )
-    world = build_world(config)
-    result = Campaign(world, atlas_probes_per_country=2,
-                      atlas_repetitions=1).run()
-    return world, result
 
 
 class TestDeterminism:
     def test_same_seed_same_dataset(self):
-        _w1, r1 = _tiny_dataset(31)
-        _w2, r2 = _tiny_dataset(31)
+        r1 = _tiny_dataset(31)
+        r2 = _tiny_dataset(31)
         d1, d2 = r1.dataset, r2.dataset
         assert len(d1.clients) == len(d2.clients)
         assert [c.node_id for c in d1.clients] == \
@@ -36,9 +42,28 @@ class TestDeterminism:
         assert [s.time_ms for s in d1.do53] == \
             [s.time_ms for s in d2.do53]
 
+    def test_no_hidden_state_between_campaigns(self, tmp_path):
+        # Process-global state (counters, caches) must never leak into
+        # a dataset: an unrelated faulted campaign run in between may
+        # not move one byte of a rerun.
+        kwargs = dict(workers=1, num_shards=2, max_nodes=64,
+                      atlas_probes_per_country=1, atlas_repetitions=1)
+        config = ReproConfig(
+            seed=34, population=PopulationConfig(scale=0.004)
+        )
+        unrelated = dataclasses.replace(
+            config, seed=35, faults=FaultPlan.chaos(seed=3)
+        )
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        run_parallel_campaign(config, **kwargs).dataset.save(str(paths[0]))
+        chaos = run_parallel_campaign(unrelated, **kwargs).dataset
+        assert any(not sample.success for sample in chaos.doh)
+        run_parallel_campaign(config, **kwargs).dataset.save(str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_different_seed_different_timings(self):
-        _w1, r1 = _tiny_dataset(31)
-        _w2, r2 = _tiny_dataset(32)
+        r1 = _tiny_dataset(31)
+        r2 = _tiny_dataset(32)
         t1 = [s.t_doh_ms for s in r1.dataset.doh if s.success]
         t2 = [s.t_doh_ms for s in r2.dataset.doh if s.success]
         assert t1 != t2
@@ -47,7 +72,13 @@ class TestDeterminism:
 class TestConservation:
     @pytest.fixture(scope="class")
     def run(self):
-        return _tiny_dataset(33)
+        """One shard measured on a world the test can inspect."""
+        config = _tiny_config(33)
+        world = build_world(config)
+        shard = run_measurement_shard(
+            ShardTask(config, ShardSpec(0, 1)), world_factory=lambda: world
+        )
+        return world, _merge(config, [shard], [])
 
     def test_every_successful_doh_reached_the_auth_server(self, run):
         world, result = run

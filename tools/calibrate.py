@@ -17,7 +17,8 @@ from repro.analysis.geography import (
 from repro.analysis.pops import pop_distance_stats
 from repro.analysis.providers import provider_summaries
 from repro.analysis.slowdown import client_provider_stats, headline_stats
-from repro.core import Campaign, ReproConfig, build_world
+from repro.core import ReproConfig
+from repro.parallel import run_parallel_campaign
 from repro.proxy.population import PopulationConfig
 from repro.stats.descriptive import median
 
@@ -42,10 +43,7 @@ def main() -> None:
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20210402
     t0 = time.time()
     config = ReproConfig(seed=seed, population=PopulationConfig(scale=scale))
-    world = build_world(config)
-    campaign = Campaign(world, atlas_probes_per_country=8,
-                        atlas_repetitions=2)
-    result = campaign.run()
+    result = run_parallel_campaign(config, workers=1, num_shards=1)
     dataset = result.dataset
     print("scale={} seed={} wall={:.0f}s".format(scale, seed, time.time() - t0))
     print(dataset.summary())

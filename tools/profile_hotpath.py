@@ -1,13 +1,13 @@
-"""Profile the serial campaign hot path with cProfile.
+"""Profile the campaign hot path with cProfile.
 
 Run:  PYTHONPATH=src python tools/profile_hotpath.py [--scale S] [--seed N]
                                                      [--top K] [--sort KEY]
                                                      [--out FILE.pstats]
 
-Builds a world, runs the serial campaign under cProfile (the world
-build itself is excluded — it is cold-path code), and prints the top
-functions.  ``--out`` additionally writes the raw pstats dump for
-snakeviz/pstats post-processing.
+Builds a world, measures the whole fleet with ``Campaign.measure``
+under cProfile (the world build itself is excluded — it is cold-path
+code), and prints the top functions.  ``--out`` additionally writes
+the raw pstats dump for snakeviz/pstats post-processing.
 
 Interpretation notes (see docs/performance.md for the methodology):
 
@@ -57,10 +57,10 @@ def main() -> None:
     print("profiling campaign...")
     profiler = cProfile.Profile()
     profiler.enable()
-    result = campaign.run()
+    raw_doh, raw_do53 = campaign.measure()
     profiler.disable()
 
-    measurements = len(result.raw_doh) + len(result.raw_do53)
+    measurements = len(raw_doh) + len(raw_do53)
     print("{} measurements\n".format(measurements))
 
     stream = io.StringIO()

@@ -4,14 +4,13 @@ Writes the dataset and a summary report under results/full_scale/.
 
 Run:  python tools/run_full_scale.py [--seed N] [--workers N] [--shards K]
 
-``--workers 1`` (the default) runs the legacy serial campaign;
-anything higher uses the sharded parallel executor, whose merged
-dataset is byte-identical for any worker count at a fixed shard count
-(see docs/performance.md).
+The campaign runs on the sharded executor, whose merged dataset is
+byte-identical for any worker count at a fixed shard count
+(``--workers 1``, the default, runs every shard inline; see
+docs/performance.md).
 """
 
 import argparse
-import gc
 import os
 import time
 
@@ -32,12 +31,10 @@ from repro.analysis.phases import (
     render_phase_table,
 )
 from repro.ckpt import CampaignCheckpoint
-from repro.core.campaign import Campaign
 from repro.core.config import ReproConfig
-from repro.core.world import build_world
-from repro.obs import Observability
 from repro.obs.manifest import build_manifest, sidecar_path, write_manifest
 from repro.parallel import run_parallel_campaign
+from repro.parallel.executor import default_worker_count
 from repro.proxy.population import PopulationConfig
 
 
@@ -45,10 +42,10 @@ def _parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=20210402)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (1 = legacy serial run, "
+                        help="worker processes (1 = every shard inline, "
                              "0 = auto-size to available CPUs)")
     parser.add_argument("--shards", type=int, default=None,
-                        help="fleet shard count (default 8 when sharded)")
+                        help="fleet shard count (default 8)")
     parser.add_argument("--observe", action="store_true",
                         help="record phase traces and metrics; writes "
                              "dataset.traces.json and a phase breakdown "
@@ -80,74 +77,26 @@ def main() -> None:
     config = ReproConfig(seed=seed, population=PopulationConfig(scale=1.0))
     campaign_started = time.time()
 
-    if args.workers != 1 or args.shards is not None:
-        from repro.parallel.executor import default_worker_count
+    if args.workers < 1:
+        args.workers = default_worker_count()
+    emit("campaign: workers={} shards={}".format(
+        args.workers, args.shards or "default"))
 
-        workers = args.workers if args.workers > 0 else default_worker_count()
-        args.workers = workers
-        emit("sharded campaign: workers={} shards={}".format(
-            workers, args.shards or "default"))
+    def progress(done, total):
+        print("  finished task {}/{} ({:.0f}s)".format(
+            done, total, time.time() - campaign_started), flush=True)
 
-        def shard_progress(done, total):
-            print("  finished task {}/{} ({:.0f}s)".format(
-                done, total, time.time() - campaign_started), flush=True)
-
-        result = run_parallel_campaign(
-            config,
-            workers=args.workers,
-            num_shards=args.shards,
-            atlas_probes_per_country=25,
-            atlas_repetitions=5,
-            progress=shard_progress,
-            observe=args.observe,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-        )
-    else:
-        world = build_world(config)
-        # The built world is permanent: freeze it out of the GC's view
-        # so collections during the campaign only trace young objects.
-        gc.collect()
-        gc.freeze()
-        emit("world built in {:.0f}s: {} hosts, {} exit nodes".format(
-            time.time() - started, len(world.network), len(world.nodes())))
-
-        campaign_started = time.time()
-
-        def progress(done, total):
-            if done % 4000 < 400 or done == total:
-                print("  measured {}/{} nodes ({:.0f}s)".format(
-                    done, total, time.time() - campaign_started), flush=True)
-
-        obs = Observability() if args.observe else None
-        campaign = Campaign(world, atlas_probes_per_country=25,
-                            atlas_repetitions=5, obs=obs)
-        if args.checkpoint_dir:
-            checkpoint = CampaignCheckpoint.open(
-                args.checkpoint_dir, config,
-                execution={"mode": "serial",
-                           "atlas_probes_per_country": 25,
-                           "atlas_repetitions": 5,
-                           "observe": bool(args.observe)},
-                resume=args.resume)
-            measure = checkpoint.measure_checkpoint("serial")
-            try:
-                result = campaign.run(progress=progress,
-                                      checkpoint=measure)
-            finally:
-                measure.close()
-            checkpoint.store_result("serial", result)
-            num_batches = -(-len(world.nodes()) // max(1, config.batch_size))
-            checkpoint.record_run({"workers": 1, "units": [{
-                "role": "serial",
-                "batches_replayed": measure.resumed_batches,
-                "batches_measured": num_batches - measure.resumed_batches,
-            }]})
-            checkpoint.mark_complete()
-            emit("checkpoint: replayed {} of {} batches from {}".format(
-                measure.resumed_batches, num_batches, args.checkpoint_dir))
-        else:
-            result = campaign.run(progress=progress)
+    result = run_parallel_campaign(
+        config,
+        workers=args.workers,
+        num_shards=args.shards,
+        atlas_probes_per_country=25,
+        atlas_repetitions=5,
+        progress=progress,
+        observe=args.observe,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+    )
     dataset = result.dataset
     emit("campaign in {:.0f}s".format(time.time() - campaign_started))
     emit(dataset.summary())
