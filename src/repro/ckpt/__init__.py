@@ -35,7 +35,7 @@ from repro.ckpt.checkpoint import (
 )
 from repro.ckpt.extend import ExtendResult, extend_campaign, plan_extension
 from repro.ckpt.fingerprint import campaign_fingerprint
-from repro.ckpt.ledger import LedgerReader, LedgerWriter
+from repro.ckpt.ledger import LedgerWriter, truncate_ledger
 from repro.ckpt.quarantine import (
     VERIFY_CLEAN,
     VERIFY_CORRUPT,
@@ -54,7 +54,6 @@ __all__ = [
     "CheckpointHealth",
     "CheckpointMismatchError",
     "ExtendResult",
-    "LedgerReader",
     "LedgerWriter",
     "MeasureCheckpoint",
     "VERIFY_CLEAN",
@@ -66,5 +65,6 @@ __all__ = [
     "latest_quarantine_entry",
     "plan_extension",
     "quarantine_checkpoint",
+    "truncate_ledger",
     "verify_checkpoint_dir",
 ]

@@ -7,40 +7,50 @@ Layout of a checkpoint directory::
     <dir>/config.pkl          the exact ReproConfig (for ckpt extend)
     <dir>/<role>.ledger       sample journal per unit of work
                               (roles: "shard-<k>", "delta")
-    <dir>/<role>.state        pickled world+campaign mutable state at
-                              the last committed batch boundary
-    <dir>/<role>.result       pickled final unit result (shards/Atlas)
+    <dir>/<role>.state        sealed pickle of the world+campaign
+                              mutable state at the last committed
+                              batch boundary
+    <dir>/<role>.result       sealed pickle of the final unit result
+                              (shards/Atlas)
     <dir>/ext-<n>/            nested checkpoint of extension n
 
+A *sealed* pickle is the pickle bytes behind their BLAKE2b digest; a
+blob whose digest does not match loads as absent, exactly like a torn
+or missing one (re-measure or start over), so a flipped byte can never
+merge a wrong value.
+
 Commit protocol per batch: append the batch's raw samples to the
-ledger (fsync), then atomically replace the state blob.  A crash
-between the two leaves the ledger one batch ahead of the state; resume
-reconciles by truncating the ledger back to the state's watermark — at
-most one batch interval of work is re-measured, and re-measuring is
-always byte-safe because the restored state replays the exact RNG draw
-sequence of an uninterrupted run (see :mod:`repro.ckpt.worldstate`).
+ledger as one :mod:`repro.core.wirepack` frame (fsync), then
+atomically replace the state blob.  A crash between the two leaves the
+ledger one batch ahead of the state; resume reconciles by truncating
+the ledger back to the state's watermark — at most one batch of work
+is re-measured, and re-measuring is always byte-safe because the
+restored state replays the exact RNG draw sequence of an uninterrupted
+run (see :mod:`repro.ckpt.worldstate`).
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.ckpt import records as codecs
 from repro.ckpt.fingerprint import FORMAT_VERSION, campaign_fingerprint
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
-    LedgerReader,
     LedgerWriter,
     read_ledger,
+    truncate_ledger,
 )
 from repro.ckpt.worldstate import capture_world_state, restore_world_state
 from repro.core.campaign import NodeFailure
 from repro.core.timeline import Do53Raw, DohRaw
+from repro.core.wirepack import pack_samples, unpack_samples
 from repro.faults.plan import WORKER_CRASH_EXIT  # noqa: F401  (re-export)
 from repro.ioutil import atomic_write_bytes, atomic_write_json
 
@@ -55,6 +65,37 @@ __all__ = [
 
 MANIFEST_NAME = "checkpoint.json"
 CONFIG_NAME = "config.pkl"
+
+#: Byte length of the BLAKE2b digest that seals a pickled blob.
+_SEAL_DIGEST_SIZE = 16
+
+
+def _seal_digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=_SEAL_DIGEST_SIZE).digest()
+
+
+def write_sealed(path: str, obj: Any) -> None:
+    """Atomically write *obj* as a sealed pickle: the pickle bytes
+    prefixed with their BLAKE2b digest."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write_bytes(path, _seal_digest(data) + data)
+
+
+def read_sealed(path: str) -> Any:
+    """The object a :func:`write_sealed` blob holds; ``None`` when the
+    file is absent, torn, or fails its digest."""
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except FileNotFoundError:
+        return None
+    digest, data = blob[:_SEAL_DIGEST_SIZE], blob[_SEAL_DIGEST_SIZE:]
+    if _seal_digest(data) != digest:
+        return None
+    try:
+        return pickle.loads(data)
+    except (pickle.UnpicklingError, AttributeError, ImportError):
+        return None  # intact bytes from code whose classes have moved
 
 
 class CheckpointError(Exception):
@@ -254,26 +295,17 @@ class CampaignCheckpoint:
 
     # -- unit handles ------------------------------------------------------
 
-    def measure_checkpoint(self, role: str,
-                           interval: int = 1) -> "MeasureCheckpoint":
+    def measure_checkpoint(self, role: str) -> "MeasureCheckpoint":
         """A journal handle for one unit of measurement (see
-        :class:`MeasureCheckpoint`); *interval* batches per state
-        commit."""
-        return MeasureCheckpoint(
-            self.directory, role, self.fingerprint, interval=interval
-        )
+        :class:`MeasureCheckpoint`)."""
+        return MeasureCheckpoint(self.directory, role, self.fingerprint)
 
     # -- unit results (shards / Atlas) ------------------------------------
 
     def store_result(self, role: str, result) -> None:
         """Persist a completed unit's final result (atomic)."""
-        atomic_write_bytes(
-            self.result_path(role),
-            pickle.dumps(
-                {"fingerprint": self.fingerprint, "role": role,
-                 "result": result},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
+        store_unit_result(
+            self.result_path(role), self.fingerprint, role, result
         )
 
     def load_result(self, role: str):
@@ -284,29 +316,22 @@ class CampaignCheckpoint:
 
 
 def load_unit_result(path: str, fingerprint: str, role: str):
-    """Load a ``<role>.result`` blob; ``None`` when absent or stale."""
-    try:
-        with open(path, "rb") as handle:
-            blob = pickle.load(handle)
-    except FileNotFoundError:
-        return None
-    except Exception:
-        return None  # torn/corrupt blob: treat as absent, re-measure
-    if blob.get("fingerprint") != fingerprint or blob.get("role") != role:
+    """Load a ``<role>.result`` blob; ``None`` when absent, torn,
+    corrupt, or stale (the unit is then re-measured)."""
+    blob = read_sealed(path)
+    if blob is None or (
+        blob.get("fingerprint") != fingerprint or blob.get("role") != role
+    ):
         return None
     return blob["result"]
 
 
 def store_unit_result(path: str, fingerprint: str, role: str,
                       result) -> None:
-    """Worker-side counterpart of :meth:`CampaignCheckpoint.store_result`
-    (workers know only paths, never the manifest)."""
-    atomic_write_bytes(
-        path,
-        pickle.dumps(
-            {"fingerprint": fingerprint, "role": role, "result": result},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        ),
+    """Persist a completed unit's final result as a sealed blob (workers
+    know only paths, never the manifest)."""
+    write_sealed(
+        path, {"fingerprint": fingerprint, "role": role, "result": result}
     )
 
 
@@ -317,20 +342,13 @@ class MeasureCheckpoint:
     build one from a pickled task spec without touching the manifest.
     """
 
-    def __init__(self, directory: str, role: str, fingerprint: str,
-                 interval: int = 1) -> None:
-        if interval < 1:
-            raise ValueError("checkpoint interval must be >= 1")
+    def __init__(self, directory: str, role: str, fingerprint: str) -> None:
         self.directory = directory
         self.role = role
         self.fingerprint = fingerprint
-        self.interval = interval
         self.ledger_path = os.path.join(directory, role + ".ledger")
         self.state_path = os.path.join(directory, role + ".state")
         self._writer: Optional[LedgerWriter] = None
-        # Batches measured since the last ledger commit (interval > 1).
-        self._pending: List[Dict] = []
-        self._pending_through = -1
         self._batches_committed = 0
         self._next_seq = 0
         self._complete = False
@@ -348,7 +366,7 @@ class MeasureCheckpoint:
         fresh = load is None or not load.records
         if fresh and load is not None:
             # A file holding only a torn header: reset it entirely.
-            LedgerReader.truncate_to(self.ledger_path, 0)
+            truncate_ledger(self.ledger_path, 0)
         if not fresh:
             info = self._reconcile(load, campaign)
         self._writer = LedgerWriter(
@@ -401,7 +419,7 @@ class MeasureCheckpoint:
 
         # Keep the longest prefix both the journal and the state blob
         # agree on; everything past it is a torn commit (at most one
-        # batch interval, lost in the crash) and gets truncated away.
+        # batch, lost in the crash) and gets truncated away.
         kept = []
         keep_batches = 0
         for record in batch_records:
@@ -416,7 +434,7 @@ class MeasureCheckpoint:
         keep_records = 1 + len(kept) + (1 if complete else 0)
         truncate_to = load.offsets[keep_records - 1]
         if truncate_to < load.clean_bytes or load.dropped_tail:
-            LedgerReader.truncate_to(self.ledger_path, truncate_to)
+            truncate_ledger(self.ledger_path, truncate_to)
         self._next_seq = keep_records
         self._complete = complete
 
@@ -427,29 +445,19 @@ class MeasureCheckpoint:
 
         info = ResumeInfo(batches_done=keep_batches, complete=complete)
         for record in kept:
-            info.doh.extend(
-                codecs.doh_from_json(item) for item in record.payload["doh"]
+            doh, do53, failures = unpack_samples(
+                base64.b64decode(record.payload["samples"])
             )
-            info.do53.extend(
-                codecs.do53_from_json(item)
-                for item in record.payload["do53"]
-            )
-            info.failures.extend(
-                codecs.failure_from_json(item)
-                for item in record.payload["fail"]
-            )
+            info.doh.extend(doh)
+            info.do53.extend(do53)
+            info.failures.extend(failures)
         self._restore(campaign, state)
         return info
 
     def _load_state(self) -> Optional[Dict]:
-        try:
-            with open(self.state_path, "rb") as handle:
-                blob = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            return None  # torn state blob: fall back to the journal
-        if blob.get("fingerprint") != self.fingerprint:
+        # Absent, torn or corrupt: fall back to the journal.
+        blob = read_sealed(self.state_path)
+        if blob is None or blob.get("fingerprint") != self.fingerprint:
             return None
         return blob
 
@@ -468,34 +476,17 @@ class MeasureCheckpoint:
 
     def commit_batch(self, campaign, batch_index: int,
                      doh: List[DohRaw], do53: List[Do53Raw],
-                     failures: List[NodeFailure],
-                     force: bool = False) -> None:
-        """Buffer one measured batch; journal + snapshot state every
-        ``interval`` batches (or when *force* flushes the tail)."""
-        self._pending.append(
+                     failures: List[NodeFailure]) -> None:
+        """Journal one measured batch, then snapshot the world state."""
+        frame = pack_samples(doh, do53, failures)
+        self._writer.append(
+            "batch",
             {
-                "doh": [codecs.doh_to_json(raw) for raw in doh],
-                "do53": [codecs.do53_to_json(raw) for raw in do53],
-                "fail": [codecs.failure_to_json(f) for f in failures],
-            }
+                "through": batch_index,
+                "samples": base64.b64encode(frame).decode("ascii"),
+            },
         )
-        self._pending_through = batch_index
-        if len(self._pending) >= self.interval or force:
-            self._flush(campaign)
-
-    def _flush(self, campaign) -> None:
-        if not self._pending:
-            return
-        payload = {
-            "through": self._pending_through,
-            "batches": len(self._pending),
-            "doh": [item for p in self._pending for item in p["doh"]],
-            "do53": [item for p in self._pending for item in p["do53"]],
-            "fail": [item for p in self._pending for item in p["fail"]],
-        }
-        self._writer.append("batch", payload)
-        self._pending = []
-        self._batches_committed = self._pending_through + 1
+        self._batches_committed = batch_index + 1
         self._write_state(campaign)
 
     def _write_state(self, campaign) -> None:
@@ -515,16 +506,12 @@ class MeasureCheckpoint:
                 ),
             },
         }
-        atomic_write_bytes(
-            self.state_path,
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+        write_sealed(self.state_path, state)
 
-    def finish(self, campaign) -> None:
-        """Flush any buffered batches and mark the unit complete."""
+    def finish(self) -> None:
+        """Mark the unit complete in the journal."""
         if self._complete:
             return  # replayed a finished journal; the marker is there
-        self._flush(campaign)
         self._writer.append("done", {"batches": self._batches_committed})
         self._complete = True
 

@@ -8,7 +8,8 @@ line is one record::
 
 * ``k`` — record kind (``header``, ``batch``, ``done``),
 * ``n`` — sequence number, contiguous from 0 (the header),
-* ``p`` — the payload (for ``batch``: the serialised raw samples),
+* ``p`` — the payload (for ``batch``: the base64 wirepack frame of the
+  batch's raw samples, see :mod:`repro.core.wirepack`),
 * ``c`` — BLAKE2b digest over the canonical JSON of ``[k, n, p]``.
 
 Appends are flushed and fsync'd before the writer reports the batch
@@ -30,7 +31,12 @@ import os
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-__all__ = ["LedgerReader", "LedgerRecord", "LedgerWriter", "read_ledger"]
+__all__ = [
+    "LedgerRecord",
+    "LedgerWriter",
+    "read_ledger",
+    "truncate_ledger",
+]
 
 
 class CheckpointCorruptionError(Exception):
@@ -180,19 +186,10 @@ def read_ledger(path: str) -> Optional[LedgerLoad]:
     )
 
 
-class LedgerReader:
-    """Convenience wrapper pairing :func:`read_ledger` with truncation."""
-
-    @staticmethod
-    def load(path: str) -> Optional[LedgerLoad]:
-        """Alias for :func:`read_ledger`."""
-        return read_ledger(path)
-
-    @staticmethod
-    def truncate_to(path: str, clean_bytes: int) -> None:
-        """Drop a torn tail so the next writer appends after the clean
-        prefix."""
-        with open(path, "ab") as handle:
-            handle.truncate(clean_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
+def truncate_ledger(path: str, clean_bytes: int) -> None:
+    """Cut *path* back to its first *clean_bytes* bytes (fsync'd), so
+    the next writer appends after the clean prefix."""
+    with open(path, "ab") as handle:
+        handle.truncate(clean_bytes)
+        handle.flush()
+        os.fsync(handle.fileno())

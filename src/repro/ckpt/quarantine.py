@@ -6,8 +6,8 @@ way.  The ledger format distinguishes two failure modes
 
 * **torn tail** — the final record is partial or fails its checksum:
   the signature of a crash mid-append.  Safe to resume; the reader
-  truncates back to the clean prefix and at most one batch interval of
-  work is re-measured.
+  truncates back to the clean prefix and at most one batch of work is
+  re-measured.
 * **mid-file corruption** — a record *before* the end fails
   verification: the file was damaged at rest (bad disk, truncation by
   an outside tool, manual editing).  Resuming would silently splice a

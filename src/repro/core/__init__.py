@@ -7,6 +7,8 @@
   BrightData fleet and RIPE Atlas probes,
 * :mod:`repro.core.timeline` — raw measurement records (the observable
   timestamps and headers of Figure 2),
+* :mod:`repro.core.wirepack` — the one binary codec for those records
+  (crash-ledger batches and pool transport),
 * :mod:`repro.core.doh_timing` — Equations 1–8: deriving t_DoH, t_DoHR
   and DoH-N from the observables,
 * :mod:`repro.core.do53_timing` — Do53 extraction and validity rules,

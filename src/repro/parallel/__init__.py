@@ -6,8 +6,8 @@ single dataset that is byte-identical for any worker count.
 Multi-worker runs dispatch through a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool` (config/plan shipped once
 via shared memory, worlds built once per worker and restored per task,
-samples returned as packed binary blobs — see
-:mod:`repro.parallel.wirepack`); campaigns below the break-even size
+samples returned as packed binary frames — see
+:mod:`repro.core.wirepack`); campaigns below the break-even size
 fall back to inline execution.  See ``docs/performance.md`` for the
 architecture and the seed-derivation rules.
 """
@@ -31,17 +31,15 @@ from repro.parallel.sharding import (
     make_shards,
     shard_items,
 )
-from repro.parallel.wirepack import (
-    PackedShardResult,
-    pack_shard_result,
-    unpack_shard_result,
-)
 from repro.parallel.worker import (
     AtlasTask,
+    PackedShardResult,
     ShardResult,
     ShardTask,
+    pack_shard_result,
     run_atlas_task,
     run_measurement_shard,
+    unpack_shard_result,
 )
 
 __all__ = [

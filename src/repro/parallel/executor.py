@@ -26,8 +26,8 @@ Multi-worker runs dispatch through a persistent
 spawned once, receive the pickled ``(config, WorldPlan)`` pair once
 through shared memory (:meth:`WarmWorkerPool.prime`), build their
 world once and restore a pristine snapshot per task, and ship samples
-back as one packed binary blob per shard
-(:mod:`repro.parallel.wirepack`).  A worker that crashes or hangs is
+back as one packed binary frame per shard
+(:mod:`repro.core.wirepack`).  A worker that crashes or hangs is
 respawned (terminate→kill escalation, never a deadlocked shutdown) and
 its task retried up to ``max_shard_retries`` times; a task that keeps
 failing raises :class:`ShardExecutionError` naming it — the executor
@@ -50,6 +50,7 @@ from repro.ckpt.checkpoint import CampaignCheckpoint
 from repro.core.campaign import AtlasRawSample, CampaignResult
 from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
+from repro.core.wirepack import unpack_atlas_samples
 from repro.dataset.builder import DatasetBuilder
 from repro.geo.geolocate import GeolocationService
 from repro.obs.metrics import MetricsRegistry
@@ -66,13 +67,13 @@ from repro.parallel.sharding import (
     ShardSpec,
     make_shards,
 )
-from repro.parallel.wirepack import unpack_atlas_samples, unpack_shard_result
 from repro.parallel.worker import (
     AtlasTask,
     ShardResult,
     ShardTask,
     run_atlas_task,
     run_measurement_shard,
+    unpack_shard_result,
 )
 
 __all__ = [

@@ -22,7 +22,7 @@ all three:
   rebuild) instead of rebuilding; a task that dies mid-simulation
   marks the cached world dirty so the next task rebuilds from scratch.
 * **Binary results.**  Shard samples return as one packed blob per
-  shard (:mod:`repro.parallel.wirepack`), not thousands of pickled
+  shard (:mod:`repro.core.wirepack`), not thousands of pickled
   dataclasses.
 
 Crash/hang handling never deadlocks the parent: a dead worker is
@@ -211,12 +211,15 @@ class PooledAtlasTask:
 def run_pooled_shard(slim: PooledShardTask):
     """Worker entry point: run one shard on the warm world.
 
-    Returns a :class:`~repro.parallel.wirepack.PackedShardResult` — the
+    Returns a :class:`~repro.parallel.worker.PackedShardResult` — the
     parent decodes it with
-    :func:`~repro.parallel.wirepack.unpack_shard_result`.
+    :func:`~repro.parallel.worker.unpack_shard_result`.
     """
-    from repro.parallel.worker import ShardTask, run_measurement_shard
-    from repro.parallel.wirepack import pack_shard_result
+    from repro.parallel.worker import (
+        ShardTask,
+        pack_shard_result,
+        run_measurement_shard,
+    )
 
     state = _WORKER_STATE
     if state["config"] is None:
@@ -247,8 +250,8 @@ def run_pooled_shard(slim: PooledShardTask):
 
 def run_pooled_atlas(slim: PooledAtlasTask) -> bytes:
     """Worker entry point: run the Atlas supplement on the warm world."""
+    from repro.core.wirepack import pack_atlas_samples
     from repro.parallel.worker import AtlasTask, run_atlas_task
-    from repro.parallel.wirepack import pack_atlas_samples
 
     state = _WORKER_STATE
     if state["config"] is None:

@@ -35,6 +35,7 @@ from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
 from repro.core.timeline import Do53Raw, DohRaw
 from repro.core.validation import filter_mismatched
+from repro.core.wirepack import pack_samples, unpack_samples
 from repro.core.world import build_world
 from repro.geo.geolocate import GeoRecord
 from repro.obs import Observability
@@ -43,11 +44,14 @@ from repro.proxy.exitnode import ExitNode
 
 __all__ = [
     "AtlasTask",
+    "PackedShardResult",
     "ShardResult",
     "ShardTask",
+    "pack_shard_result",
     "reduce_shard",
     "run_atlas_task",
     "run_measurement_shard",
+    "unpack_shard_result",
 ]
 
 
@@ -132,6 +136,69 @@ class ShardResult:
     #: from the shard's ledger vs measured live by this invocation.
     resumed_batches: int = 0
     measured_batches: int = 0
+
+
+@dataclass
+class PackedShardResult:
+    """A :class:`ShardResult` in transport form.
+
+    ``payload`` holds every raw sample (and failure record) as one
+    :mod:`repro.core.wirepack` frame; the remaining fields are small
+    plain data that pickle cheaply through the pool's result queue.
+    """
+
+    shard_index: int
+    payload: bytes
+    dropped_doh: int
+    dropped_do53: int
+    qname_map: List[Tuple[str, str]]
+    client_entries: List[Tuple[str, str, str]]
+    geo_snapshot: Optional[Dict]
+    metrics: Optional[Dict]
+    traces: Optional[List[Dict]]
+    resumed_batches: int
+    measured_batches: int
+
+
+def pack_shard_result(result: ShardResult) -> PackedShardResult:
+    """Envelope a worker's :class:`ShardResult` for the trip to the
+    parent."""
+    return PackedShardResult(
+        shard_index=result.shard_index,
+        payload=pack_samples(
+            result.kept_doh, result.kept_do53, result.failures
+        ),
+        dropped_doh=result.dropped_doh,
+        dropped_do53=result.dropped_do53,
+        qname_map=result.qname_map,
+        client_entries=result.client_entries,
+        geo_snapshot=result.geo_snapshot,
+        metrics=result.metrics,
+        traces=result.traces,
+        resumed_batches=result.resumed_batches,
+        measured_batches=result.measured_batches,
+    )
+
+
+def unpack_shard_result(packed: PackedShardResult) -> ShardResult:
+    """Decode a :class:`PackedShardResult` back into a
+    :class:`ShardResult`."""
+    doh, do53, failures = unpack_samples(packed.payload)
+    return ShardResult(
+        shard_index=packed.shard_index,
+        kept_doh=doh,
+        kept_do53=do53,
+        dropped_doh=packed.dropped_doh,
+        dropped_do53=packed.dropped_do53,
+        qname_map=packed.qname_map,
+        client_entries=packed.client_entries,
+        geo_snapshot=packed.geo_snapshot,
+        failures=failures,
+        metrics=packed.metrics,
+        traces=packed.traces,
+        resumed_batches=packed.resumed_batches,
+        measured_batches=packed.measured_batches,
+    )
 
 
 def run_measurement_shard(

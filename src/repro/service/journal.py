@@ -27,10 +27,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
-    LedgerReader,
     LedgerRecord,
     LedgerWriter,
     read_ledger,
+    truncate_ledger,
 )
 
 __all__ = ["JournalCorruptError", "ServiceJournal"]
@@ -67,7 +67,7 @@ class ServiceJournal:
             )
         fresh = load is None or not load.records
         if load is not None and (load.dropped_tail or not load.records):
-            LedgerReader.truncate_to(
+            truncate_ledger(
                 self.path, load.clean_bytes if load.records else 0
             )
         if not fresh:

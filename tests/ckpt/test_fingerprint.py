@@ -17,6 +17,7 @@ from repro.ckpt import (
     CheckpointMismatchError,
     campaign_fingerprint,
 )
+from repro.ckpt.ledger import read_ledger
 from repro.core.config import ReproConfig
 from repro.faults.plan import FaultPlan, NodeChurn
 from repro.proxy.population import PopulationConfig
@@ -112,6 +113,29 @@ class TestResumeModes:
                 small_config(),
                 {"mode": "parallel", "num_shards": 2},
                 resume="auto",
+            )
+
+    def test_auto_rejects_changed_format(self, tmp_path, monkeypatch):
+        # A checkpoint written before the ledger moved to wirepack
+        # frames: its manifest and ledger header carry format 1, and
+        # there is no reader for it.
+        import repro.ckpt.checkpoint as checkpoint_mod
+        import repro.ckpt.fingerprint as fingerprint_mod
+
+        directory = str(tmp_path / "ckpt")
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint_mod, "FORMAT_VERSION", 1)
+            patch.setattr(checkpoint_mod, "FORMAT_VERSION", 1)
+            old = CampaignCheckpoint.open(directory, small_config(), EXEC)
+            unit = old.measure_checkpoint("shard-0")
+            unit.prepare(None)
+            unit.close()
+        assert old.manifest["format"] == 1
+        header = read_ledger(old.ledger_path("shard-0")).header
+        assert header.payload["format"] == 1
+        with pytest.raises(CheckpointMismatchError):
+            CampaignCheckpoint.open(
+                directory, small_config(), EXEC, resume="auto"
             )
 
     def test_force_discards_old_ledgers(self, tmp_path):

@@ -6,9 +6,9 @@ import pytest
 
 from repro.ckpt.ledger import (
     CheckpointCorruptionError,
-    LedgerReader,
     LedgerWriter,
     read_ledger,
+    truncate_ledger,
 )
 
 
@@ -37,8 +37,8 @@ class TestRoundtrip:
         assert read_ledger(str(tmp_path / "absent.ledger")) is None
 
     def test_floats_survive_exactly(self, tmp_path):
-        # The byte-identity guarantee rests on json round-tripping
-        # IEEE doubles exactly.
+        # JSON payloads round-trip IEEE doubles exactly (Python writes
+        # the shortest repr that parses back to the same double).
         path = tmp_path / "shard-0.ledger"
         values = [0.1 + 0.2, 1e-308, 123456.789012345, 2.0 ** 52 + 0.5]
         with LedgerWriter(str(path)) as writer:
@@ -66,7 +66,7 @@ class TestTornTail:
         with open(path, "ab") as handle:
             handle.write(b"garbage after a crash")
         load = read_ledger(str(path))
-        LedgerReader.truncate_to(str(path), load.clean_bytes)
+        truncate_ledger(str(path), load.clean_bytes)
         reload = read_ledger(str(path))
         assert not reload.dropped_tail
         assert reload.records == load.records

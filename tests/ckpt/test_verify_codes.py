@@ -9,6 +9,7 @@ pinned here end to end through the CLI.
 
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -17,8 +18,10 @@ from repro.ckpt import (
     VERIFY_CORRUPT,
     VERIFY_STALE,
     VERIFY_TORN,
+    CampaignCheckpoint,
     verify_checkpoint_dir,
 )
+from repro.ckpt.checkpoint import load_unit_result
 from repro.ckpt.ledger import LedgerWriter
 from repro.cli import main
 from repro.core.config import ReproConfig
@@ -84,6 +87,27 @@ def test_mid_file_corruption_exits_three(checkpoint):
     health = verify_checkpoint_dir(checkpoint)
     assert health.status == "corrupt"
     assert not health.resumable, "corruption must never auto-resume"
+
+
+def test_flipped_result_double_exits_one(checkpoint):
+    # One flipped mantissa bit in a measured timing still unpickles
+    # cleanly; only the blob's digest can tell the value is wrong.
+    path = os.path.join(checkpoint, "shard-0.result")
+    fingerprint = CampaignCheckpoint.load(checkpoint).fingerprint
+    result = load_unit_result(path, fingerprint, "shard-0")
+    value = result.kept_doh[0].t_d
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    # pickle stores a float as its 8 big-endian IEEE-754 bytes.
+    at = blob.index(struct.pack(">d", value))
+    blob[at + 7] ^= 0x01
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
+    assert load_unit_result(path, fingerprint, "shard-0") is None
+    assert main(["ckpt", "verify", checkpoint]) == VERIFY_STALE
+    health = verify_checkpoint_dir(checkpoint)
+    assert health.status == "stale"
+    assert any("shard-0.result" in problem for problem in health.problems)
 
 
 def test_foreign_fingerprint_exits_one(checkpoint):

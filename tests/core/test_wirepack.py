@@ -1,4 +1,5 @@
-"""The binary shard-result codec (``repro.parallel.wirepack``).
+"""The one sample codec (``repro.core.wirepack``) and the shard-result
+envelope built on it.
 
 The codec is transport for the byte-identity invariant: every decoded
 record must compare equal to the original field for field — floats
@@ -13,17 +14,19 @@ import pytest
 
 from repro.core.campaign import NodeFailure
 from repro.core.timeline import Do53Raw, DohRaw
-from repro.parallel.wirepack import (
-    PackedShardResult,
+from repro.core.wirepack import (
     WirepackError,
     pack_atlas_samples,
     pack_samples,
-    pack_shard_result,
     unpack_atlas_samples,
     unpack_samples,
+)
+from repro.parallel.worker import (
+    PackedShardResult,
+    ShardResult,
+    pack_shard_result,
     unpack_shard_result,
 )
-from repro.parallel.worker import ShardResult
 from repro.proxy.headers import TimelineHeaders
 
 
