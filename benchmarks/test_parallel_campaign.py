@@ -6,8 +6,9 @@ in this process (the single-process hot path), once through
 ``repro.parallel.run_parallel_campaign`` on the persistent warm worker
 pool — and records measurements per wall-clock second for both, plus
 the speedup, in ``BENCH_parallel_campaign.json`` at the repo root.
-The baseline is deliberately not an inline 8-shard run: that builds
-nine worlds and would inflate the speedup.
+The baseline is deliberately the bare hot path, not an inline 8-shard
+run: that one also pays seven world restores, the per-shard reduction
+and the merge, which would inflate the speedup.
 
 Honesty rules, learned the hard way (the pre-pool artifact recorded a
 0.706 "speedup" as if it were fine):

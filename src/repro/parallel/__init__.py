@@ -3,12 +3,14 @@
 Splits the exit-node fleet into deterministic shards, runs each
 shard's campaign in a worker process, and merges the results into a
 single dataset that is byte-identical for any worker count.
+Every task runs on a :class:`~repro.parallel.worker.WarmWorld` (built
+once, restored to its pristine post-boot state per task).
 Multi-worker runs dispatch through a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool` (config/plan shipped once
-via shared memory, worlds built once per worker and restored per task,
-samples returned as packed binary frames — see
-:mod:`repro.core.wirepack`); campaigns below the break-even size
-fall back to inline execution.  See ``docs/performance.md`` for the
+via shared memory, one warm world per worker, samples returned as
+packed binary frames — see :mod:`repro.core.wirepack`); campaigns
+below the break-even size fall back to inline execution, one warm
+world per call.  See ``docs/performance.md`` for the
 architecture and the seed-derivation rules.
 """
 
@@ -19,7 +21,6 @@ from repro.parallel.executor import (
     run_parallel_campaign,
 )
 from repro.parallel.pool import (
-    PooledAtlasTask,
     PooledShardTask,
     WarmWorkerPool,
     run_pooled_atlas,
@@ -36,6 +37,7 @@ from repro.parallel.worker import (
     PackedShardResult,
     ShardResult,
     ShardTask,
+    WarmWorld,
     pack_shard_result,
     run_atlas_task,
     run_measurement_shard,
@@ -46,13 +48,13 @@ __all__ = [
     "AtlasTask",
     "DEFAULT_NUM_SHARDS",
     "PackedShardResult",
-    "PooledAtlasTask",
     "PooledShardTask",
     "ShardExecutionError",
     "ShardResult",
     "ShardSpec",
     "ShardTask",
     "WarmWorkerPool",
+    "WarmWorld",
     "break_even_shard_nodes",
     "default_worker_count",
     "make_shards",

@@ -18,8 +18,10 @@ worker count**, because
   run_index, provider)``, Do53 by ``(node_id, run_index)``, clients by
   ``node_id`` — with shard index as the stable tiebreak.
 
-``workers=1`` runs the same shard tasks inline in this process, so it
-is the reference execution the parity tests compare against.
+``workers=1`` runs the same shard tasks inline in this process, on
+one :class:`~repro.parallel.worker.WarmWorld` per call: the world is
+built once and restored to its pristine post-boot snapshot before
+every shard and the Atlas task.
 
 Multi-worker runs dispatch through a persistent
 :class:`~repro.parallel.pool.WarmWorkerPool`: worker processes are
@@ -44,7 +46,7 @@ an already-warm pool.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.ckpt.checkpoint import CampaignCheckpoint
 from repro.core.campaign import AtlasRawSample, CampaignResult
@@ -56,7 +58,6 @@ from repro.geo.geolocate import GeolocationService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.parallel.pool import (
-    PooledAtlasTask,
     PooledShardTask,
     WarmWorkerPool,
     run_pooled_atlas,
@@ -71,6 +72,7 @@ from repro.parallel.worker import (
     AtlasTask,
     ShardResult,
     ShardTask,
+    WarmWorld,
     run_atlas_task,
     run_measurement_shard,
     unpack_shard_result,
@@ -143,30 +145,24 @@ def break_even_shard_nodes() -> int:
         return DEFAULT_BREAK_EVEN_SHARD_NODES
 
 
-def _execute_tasks(
-    items: Sequence[WorkItem],
-    workers: int,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    tick: Optional[Callable[[], None]] = None,
-) -> List[object]:
-    """Run every item's ``fn(arg)`` across *workers* processes.
-
-    A convenience wrapper that runs one batch on a throwaway
-    :class:`WarmWorkerPool` — same crash/hang/retry semantics as the
-    pooled campaign path, without the warm-state reuse.  Kept as the
-    generic work-dispatch entry point (the resilience tests drive it
-    with arbitrary functions).
-    """
-    if not items:
-        return []
-    pool = WarmWorkerPool(min(workers, len(items)))
-    try:
-        return pool.run_items(
-            items, timeout_s=timeout_s, max_retries=max_retries, tick=tick
-        )
-    finally:
-        pool.close()
+def _run_inline(
+    warm: WarmWorld,
+    shard_tasks: List[ShardTask],
+    atlas_task: Optional[AtlasTask],
+    tick: Callable[[], None],
+) -> Tuple[List[ShardResult], List[AtlasRawSample]]:
+    """Run every task in this process on *warm*: one world build, then
+    a restore of its pristine post-boot state per task.  The world is
+    freed when this returns, before the merge."""
+    shard_results: List[ShardResult] = []
+    for task in shard_tasks:
+        shard_results.append(warm.run(run_measurement_shard, task))
+        tick()
+    atlas_samples: List[AtlasRawSample] = []
+    if atlas_task is not None:
+        atlas_samples = list(warm.run(run_atlas_task, atlas_task))
+        tick()
+    return shard_results, atlas_samples
 
 
 def run_parallel_campaign(
@@ -193,9 +189,10 @@ def run_parallel_campaign(
 
     ``workers=None`` sizes the pool to the CPUs available to this
     process (:func:`default_worker_count`).  When the effective worker
-    count is 1, every task runs inline in this process — no pool, no
-    spawn, no pickling — which is both the fastest single-core
-    execution and the reference the parity tests compare against.
+    count is 1, every task runs inline in this process on one warm
+    world — no pool, no spawn, no pickling, one world build — which is
+    both the fastest single-core execution and the reference the
+    parity tests compare against.
 
     *num_shards* fixes the fleet partition (default
     :data:`DEFAULT_NUM_SHARDS`); it is part of the experiment
@@ -297,7 +294,7 @@ def run_parallel_campaign(
     specs = make_shards(num_shards, max_nodes=max_nodes)
     shard_tasks = [
         ShardTask(
-            config, spec, observe=observe, plan=plan,
+            config, spec, observe=observe,
             checkpoint_dir=checkpoint_dir, fingerprint=fingerprint,
             run_index_offset=run_index_offset,
             client_seed_offset=client_seed_offset,
@@ -308,14 +305,12 @@ def run_parallel_campaign(
     atlas_task: Optional[AtlasTask] = None
     if atlas_probes_per_country > 0:
         atlas_task = AtlasTask(
-            config=config,
             probes_per_country=atlas_probes_per_country,
             repetitions=atlas_repetitions,
             # Past every shard's client stream (they use seed+1+k for
             # k < num_shards), so Atlas query names never collide.
             client_seed=config.seed + 1 + num_shards + client_seed_offset,
             name_tag=name_prefix + "a-",
-            plan=plan,
             checkpoint_dir=checkpoint_dir,
             fingerprint=fingerprint,
         )
@@ -330,14 +325,9 @@ def run_parallel_campaign(
             progress(done, total_tasks)
 
     if workers == 1:
-        shard_results: List[ShardResult] = []
-        for task in shard_tasks:
-            shard_results.append(run_measurement_shard(task))
-            tick()
-        atlas_samples: List[AtlasRawSample] = []
-        if atlas_task is not None:
-            atlas_samples = list(run_atlas_task(atlas_task))
-            tick()
+        shard_results, atlas_samples = _run_inline(
+            WarmWorld(config, plan), shard_tasks, atlas_task, tick
+        )
     else:
         # Pooled dispatch: the (config, plan) pair crosses the process
         # boundary once via prime(); each task ships only its slim
@@ -359,20 +349,7 @@ def run_parallel_campaign(
             for task in shard_tasks
         ]
         if atlas_task is not None:
-            items.append(
-                (
-                    run_pooled_atlas,
-                    PooledAtlasTask(
-                        probes_per_country=atlas_task.probes_per_country,
-                        repetitions=atlas_task.repetitions,
-                        client_seed=atlas_task.client_seed,
-                        name_tag=atlas_task.name_tag,
-                        checkpoint_dir=atlas_task.checkpoint_dir,
-                        fingerprint=atlas_task.fingerprint,
-                    ),
-                    "atlas",
-                )
-            )
+            items.append((run_pooled_atlas, atlas_task, "atlas"))
         owns_pool = pool is None
         if owns_pool:
             pool = WarmWorkerPool(min(workers, len(items)))

@@ -15,12 +15,12 @@ all three:
   through a :mod:`multiprocessing.shared_memory` segment (inline bytes
   as fallback), not once per task.  Tasks then cross the queue as slim
   per-shard fields only.
-* **Build once, restore per task.**  Each worker process builds its
-  world on first use, drains the boot events, and captures a pristine
-  state snapshot (:func:`~repro.ckpt.worldstate.capture_world_state`).
-  Every later task **restores** that snapshot (~100× cheaper than a
-  rebuild) instead of rebuilding; a task that dies mid-simulation
-  marks the cached world dirty so the next task rebuilds from scratch.
+* **Build once, restore per task.**  Each worker process keeps one
+  :class:`~repro.parallel.worker.WarmWorld` per prime — the same
+  world lifecycle inline execution uses: built and booted on first
+  use, then **restored** to its pristine post-boot snapshot for every
+  later task (~100× cheaper than a rebuild); a task that dies
+  mid-simulation drops it so the next task rebuilds.
 * **Binary results.**  Shard samples return as one packed blob per
   shard (:mod:`repro.core.wirepack`), not thousands of pickled
   dataclasses.
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "PooledAtlasTask",
     "PooledShardTask",
     "WarmWorkerPool",
     "run_pooled_atlas",
@@ -77,17 +76,10 @@ class PoolError(RuntimeError):
 # Worker-side: per-process warm state
 # ---------------------------------------------------------------------------
 
-#: Per-worker-process cache: the primed (config, plan) pair plus the
-#: lazily built world and its pristine post-boot state snapshot.
+#: Per-worker-process state: the primed generation and its
+#: :class:`~repro.parallel.worker.WarmWorld` (None until primed).
 #: Module-level because the spawn entry point is a plain function.
-_WORKER_STATE: dict = {
-    "generation": None,
-    "config": None,
-    "plan": None,
-    "world": None,
-    "pristine": None,
-    "dirty": False,
-}
+_WORKER_STATE: dict = {"generation": None, "warm": None}
 
 
 def _attach_shm_untracked(name: str):
@@ -123,6 +115,8 @@ def _attach_shm_untracked(name: str):
 
 def _apply_prime(generation: int, transport: str, payload) -> None:
     """Install a newly shipped ``(config, plan)`` pair in this process."""
+    from repro.parallel.worker import WarmWorld
+
     state = _WORKER_STATE
     if state["generation"] == generation:
         return
@@ -143,42 +137,15 @@ def _apply_prime(generation: int, transport: str, payload) -> None:
     else:
         blob = payload
     config, plan = pickle.loads(blob)
-    state.update(
-        generation=generation,
-        config=config,
-        plan=plan,
-        world=None,
-        pristine=None,
-        dirty=False,
-    )
+    state.update(generation=generation, warm=WarmWorld(config, plan))
 
 
-def _checkout_world():
-    """The warm world, pristine — built on first use, restored after.
-
-    Returns the process-cached world reset to its post-boot state.  The
-    cache is marked dirty for the duration of the task; callers clear
-    the flag after a clean finish, so a task that died mid-simulation
-    (exception, crash fault) leaves ``dirty=True`` and the next task
-    rebuilds instead of restoring half-mutated state.
-    """
-    from repro.ckpt.worldstate import capture_world_state, restore_world_state
-    from repro.core.world import build_world
-
-    state = _WORKER_STATE
-    if state["config"] is None:
+def _warm_world():
+    """This worker's :class:`~repro.parallel.worker.WarmWorld`."""
+    warm = _WORKER_STATE["warm"]
+    if warm is None:
         raise PoolError("worker is not primed (no config installed)")
-    if state["world"] is None or state["dirty"]:
-        world = build_world(state["config"], plan=state["plan"])
-        # Drain the t=0 boot events so the pristine snapshot sits at a
-        # batch boundary (capture refuses a non-drained heap).
-        world.sim.run()
-        state["world"] = world
-        state["pristine"] = capture_world_state(world)
-    else:
-        restore_world_state(state["world"], state["pristine"])
-    state["dirty"] = True
-    return state["world"]
+    return warm
 
 
 @dataclass(frozen=True)
@@ -196,18 +163,6 @@ class PooledShardTask:
     name_prefix: str = ""
 
 
-@dataclass(frozen=True)
-class PooledAtlasTask:
-    """Slim form of :class:`~repro.parallel.worker.AtlasTask`."""
-
-    probes_per_country: int
-    repetitions: int
-    client_seed: int
-    name_tag: str = "a-"
-    checkpoint_dir: Optional[str] = None
-    fingerprint: str = ""
-
-
 def run_pooled_shard(slim: PooledShardTask):
     """Worker entry point: run one shard on the warm world.
 
@@ -221,62 +176,30 @@ def run_pooled_shard(slim: PooledShardTask):
         run_measurement_shard,
     )
 
-    state = _WORKER_STATE
-    if state["config"] is None:
-        raise PoolError("worker is not primed (no config installed)")
+    warm = _warm_world()
     task = ShardTask(
-        config=state["config"],
+        config=warm.config,
         spec=slim.spec,
         observe=slim.observe,
-        plan=state["plan"],
         checkpoint_dir=slim.checkpoint_dir,
         fingerprint=slim.fingerprint,
         run_index_offset=slim.run_index_offset,
         client_seed_offset=slim.client_seed_offset,
         name_prefix=slim.name_prefix,
     )
-    used: List[bool] = []
-
-    def factory():
-        world = _checkout_world()
-        used.append(True)
-        return world
-
-    result = run_measurement_shard(task, world_factory=factory)
-    if used:
-        state["dirty"] = False
-    return pack_shard_result(result)
+    return pack_shard_result(warm.run(run_measurement_shard, task))
 
 
-def run_pooled_atlas(slim: PooledAtlasTask) -> bytes:
-    """Worker entry point: run the Atlas supplement on the warm world."""
+def run_pooled_atlas(task) -> bytes:
+    """Worker entry point: run the Atlas supplement on the warm world.
+
+    :class:`~repro.parallel.worker.AtlasTask` carries no config, so it
+    crosses the queue as is.
+    """
     from repro.core.wirepack import pack_atlas_samples
-    from repro.parallel.worker import AtlasTask, run_atlas_task
+    from repro.parallel.worker import run_atlas_task
 
-    state = _WORKER_STATE
-    if state["config"] is None:
-        raise PoolError("worker is not primed (no config installed)")
-    task = AtlasTask(
-        config=state["config"],
-        probes_per_country=slim.probes_per_country,
-        repetitions=slim.repetitions,
-        client_seed=slim.client_seed,
-        name_tag=slim.name_tag,
-        plan=state["plan"],
-        checkpoint_dir=slim.checkpoint_dir,
-        fingerprint=slim.fingerprint,
-    )
-    used: List[bool] = []
-
-    def factory():
-        world = _checkout_world()
-        used.append(True)
-        return world
-
-    samples = run_atlas_task(task, world_factory=factory)
-    if used:
-        state["dirty"] = False
-    return pack_atlas_samples(samples)
+    return pack_atlas_samples(_warm_world().run(run_atlas_task, task))
 
 
 def _worker_main(uid: int, task_q, result_q, parent_pid: int) -> None:

@@ -2,9 +2,11 @@
 
 Workers never receive a live :class:`~repro.core.world.World` — worlds
 hold generator-based simulator state and cannot cross a process
-boundary.  Instead each worker gets a picklable ``(ReproConfig, task
-spec)`` pair, rebuilds its own deterministic world from the seed, runs
-its slice of the campaign, and ships plain-data results back:
+boundary.  Instead every task runs on a :class:`WarmWorld`: a world
+built from the picklable ``(ReproConfig, WorldPlan)`` pair once, booted,
+snapshotted, and restored to that pristine post-boot state before each
+later task.  Inline execution keeps one per campaign call, each pool
+worker one per prime.  Tasks ship plain-data results back:
 
 * raw :class:`DohRaw`/:class:`Do53Raw` records (post Maxmind
   validation, with discard counts),
@@ -23,20 +25,21 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ckpt.checkpoint import (
     MeasureCheckpoint,
     load_unit_result,
     store_unit_result,
 )
+from repro.ckpt.worldstate import capture_world_state, restore_world_state
 from repro.core.campaign import AtlasRawSample, Campaign, NodeFailure
 from repro.core.config import ReproConfig
 from repro.core.plan import WorldPlan
 from repro.core.timeline import Do53Raw, DohRaw
 from repro.core.validation import filter_mismatched
 from repro.core.wirepack import pack_samples, unpack_samples
-from repro.core.world import build_world
+from repro.core.world import World, build_world
 from repro.geo.geolocate import GeoRecord
 from repro.obs import Observability
 from repro.parallel.sharding import ShardSpec, shard_items
@@ -47,6 +50,7 @@ __all__ = [
     "PackedShardResult",
     "ShardResult",
     "ShardTask",
+    "WarmWorld",
     "pack_shard_result",
     "reduce_shard",
     "run_atlas_task",
@@ -65,11 +69,6 @@ class ShardTask:
     #: metrics/trace snapshots back as plain data.  Never affects the
     #: measured records themselves.
     observe: bool = False
-    #: Precomputed world-build snapshot (see :class:`WorldPlan`).
-    #: Computed once by the executor and shipped to every worker; None
-    #: makes the worker derive everything itself, with identical
-    #: results.
-    plan: Optional[WorldPlan] = None
     #: Campaign checkpoint directory (see :mod:`repro.ckpt`).  When
     #: set, the shard journals every batch to ``shard-<k>.ledger``,
     #: resumes from it on a retry after a crash, and is skipped
@@ -91,19 +90,17 @@ class ShardTask:
 class AtlasTask:
     """The RIPE Atlas supplement, run as its own deterministic task.
 
-    Atlas gets a dedicated world (rather than piggybacking on shard 0)
-    so its results do not depend on how the fleet was partitioned.
+    Atlas starts from the pristine post-boot world (rather than
+    piggybacking on shard 0's) so its results do not depend on how the
+    fleet was partitioned.
     """
 
-    config: ReproConfig
     probes_per_country: int
     repetitions: int
     #: Client-stream seed, chosen by the executor to diverge from every
     #: measurement shard.
     client_seed: int
     name_tag: str = "a-"
-    #: Precomputed world-build snapshot (see :class:`ShardTask.plan`).
-    plan: Optional[WorldPlan] = None
     #: Checkpoint directory; a matching ``atlas.result`` blob short-
     #: circuits the task (Atlas is one atomic unit, not batched).
     checkpoint_dir: Optional[str] = None
@@ -201,17 +198,63 @@ def unpack_shard_result(packed: PackedShardResult) -> ShardResult:
     )
 
 
-def run_measurement_shard(
-    task: ShardTask, world_factory=None
-) -> ShardResult:
-    """Build a world and measure this shard's slice of the fleet.
+WorldFactory = Callable[[], World]
 
-    *world_factory*, if given, supplies the world instead of
-    :func:`build_world` — the warm pool (:mod:`repro.parallel.pool`)
-    passes its build-once/restore-per-task cache here.  It is only
-    called when a world is actually needed (a cached ``.result`` blob
-    short-circuits without one), and the world it returns must be
-    indistinguishable from a fresh ``build_world(config, plan)``.
+
+class WarmWorld:
+    """One world serving a sequence of tasks, pristine for each.
+
+    The first :meth:`checkout` builds the world from ``(config, plan)``,
+    drains its t=0 boot events and captures the post-boot state
+    (:func:`~repro.ckpt.worldstate.capture_world_state`); every later
+    checkout restores that snapshot — far cheaper than a rebuild — so
+    each task sees a world indistinguishable from a fresh
+    ``build_world(config, plan)``.  A task that raises (or is
+    interrupted) through :meth:`run` may have stopped mid-simulation,
+    in state the snapshot does not cover, so the world is dropped and
+    the next checkout rebuilds it.
+    """
+
+    def __init__(self, config: ReproConfig, plan: WorldPlan) -> None:
+        self.config = config
+        self.plan = plan
+        self._world: Optional[World] = None
+        self._pristine: Optional[Dict] = None
+
+    def checkout(self) -> World:
+        """The world, in its pristine post-boot state."""
+        if self._world is None:
+            world = build_world(self.config, plan=self.plan)
+            # Drain the boot events so the snapshot sits at a batch
+            # boundary (capture refuses a non-drained heap).
+            world.sim.run()
+            self._pristine = capture_world_state(world)
+            self._world = world
+        else:
+            restore_world_state(self._world, self._pristine)
+        return self._world
+
+    def run(self, fn, task):
+        """``fn(task, world_factory=self.checkout)``; a task that
+        raises drops the world."""
+        try:
+            return fn(task, world_factory=self.checkout)
+        except BaseException:
+            self._world = None
+            self._pristine = None
+            raise
+
+
+def run_measurement_shard(
+    task: ShardTask, world_factory: WorldFactory
+) -> ShardResult:
+    """Measure this shard's slice of the fleet.
+
+    *world_factory* supplies the world — normally
+    :meth:`WarmWorld.checkout`.  It is only called when a world is
+    actually needed (a cached ``.result`` blob short-circuits without
+    one), and the world it returns must be indistinguishable from a
+    fresh ``build_world(config, plan)``.
     """
     config = task.config
     spec = task.spec
@@ -232,10 +275,7 @@ def run_measurement_shard(
         )
     obs = Observability() if task.observe else None
     wall_start = time.perf_counter()
-    if world_factory is not None:
-        world = world_factory()
-    else:
-        world = build_world(config, plan=task.plan)
+    world = world_factory()
     campaign = Campaign(
         world,
         atlas_probes_per_country=0,
@@ -325,13 +365,13 @@ def reduce_shard(
 
 
 def run_atlas_task(
-    task: AtlasTask, world_factory=None
+    task: AtlasTask, world_factory: WorldFactory
 ) -> List[AtlasRawSample]:
-    """Build a world and run only the RIPE Atlas supplement.
+    """Run only the RIPE Atlas supplement.
 
     *world_factory* follows the :func:`run_measurement_shard` contract:
-    the Atlas world is built from the same ``(config, plan)`` pair as
-    the shard worlds, so the pool's warm world serves here too.
+    Atlas runs on the same ``(config, plan)`` world as the shards, so
+    the same :class:`WarmWorld` serves it.
     """
     result_path = None
     if task.checkpoint_dir:
@@ -339,10 +379,7 @@ def run_atlas_task(
         cached = load_unit_result(result_path, task.fingerprint, "atlas")
         if cached is not None:
             return cached
-    if world_factory is not None:
-        world = world_factory()
-    else:
-        world = build_world(task.config, plan=task.plan)
+    world = world_factory()
     campaign = Campaign(
         world,
         atlas_probes_per_country=task.probes_per_country,

@@ -24,7 +24,7 @@ from repro.parallel import (
     run_parallel_campaign,
     shard_items,
 )
-from repro.parallel.executor import _execute_tasks
+from repro.parallel.pool import WarmWorkerPool
 from repro.proxy.population import PopulationConfig
 
 PARITY_KWARGS = dict(
@@ -215,11 +215,13 @@ def _raise(_value):
 
 
 class TestExecutorResilience:
-    """_execute_tasks: dead workers are detected and retried, never hung."""
+    """WarmWorkerPool.run_items: dead workers are detected and retried,
+    never hung."""
 
     def test_healthy_tasks_keep_item_order(self):
         items = [(_double, n, "t{}".format(n)) for n in range(5)]
-        assert _execute_tasks(items, workers=2) == [0, 2, 4, 6, 8]
+        with WarmWorkerPool(2) as pool:
+            assert pool.run_items(items) == [0, 2, 4, 6, 8]
 
     def test_crashed_worker_is_retried(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
@@ -227,25 +229,27 @@ class TestExecutorResilience:
             (_double, 21, "ok"),
             (_die_once, sentinel, "flaky"),
         ]
-        results = _execute_tasks(items, workers=2, max_retries=2)
+        with WarmWorkerPool(2) as pool:
+            results = pool.run_items(items, max_retries=2)
         assert results == [42, "recovered"]
 
     def test_permanent_crash_raises_named_error(self):
         items = [(_die, None, "doomed-shard")]
-        with pytest.raises(ShardExecutionError, match="doomed-shard"):
-            _execute_tasks(items, workers=1, max_retries=1)
+        with WarmWorkerPool(1) as pool:
+            with pytest.raises(ShardExecutionError, match="doomed-shard"):
+                pool.run_items(items, max_retries=1)
 
     def test_task_exception_surfaces_after_retries(self):
         items = [(_raise, None, "explosive")]
-        with pytest.raises(ShardExecutionError, match="task exploded"):
-            _execute_tasks(items, workers=1, max_retries=0)
+        with WarmWorkerPool(1) as pool:
+            with pytest.raises(ShardExecutionError, match="task exploded"):
+                pool.run_items(items, max_retries=0)
 
     def test_hung_worker_trips_watchdog(self):
         items = [(_hang, None, "sleeper")]
-        with pytest.raises(ShardExecutionError, match="watchdog"):
-            _execute_tasks(
-                items, workers=1, timeout_s=1.0, max_retries=0
-            )
+        with WarmWorkerPool(1) as pool:
+            with pytest.raises(ShardExecutionError, match="watchdog"):
+                pool.run_items(items, timeout_s=1.0, max_retries=0)
 
     def test_sigterm_ignoring_worker_cannot_deadlock_shutdown(self):
         # A worker that ignores SIGTERM must still be reaped: the pool
@@ -254,10 +258,9 @@ class TestExecutorResilience:
         # blocking forever on an unkillable child.
         items = [(_hang_ignoring_sigterm, None, "immortal")]
         start = time.monotonic()
-        with pytest.raises(ShardExecutionError, match="watchdog"):
-            _execute_tasks(
-                items, workers=1, timeout_s=1.0, max_retries=0
-            )
+        with WarmWorkerPool(1) as pool:
+            with pytest.raises(ShardExecutionError, match="watchdog"):
+                pool.run_items(items, timeout_s=1.0, max_retries=0)
         # Generous bound: 1s watchdog + two 2s grace periods + spawn
         # slack.  A deadlocked shutdown would blow far past this.
         assert time.monotonic() - start < 30.0

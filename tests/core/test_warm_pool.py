@@ -156,7 +156,7 @@ class TestCrashRecoveryThroughWarmPool:
         # Two workers, four shards: when shard 0's worker dies, its
         # retry must run on a worker that already measured other
         # shards (or its pristine respawn) — the stale-state hazard
-        # the dirty-world tracking exists for.
+        # the rebuild-after-failure rule exists for.
         with WarmWorkerPool(2) as pool:
             uids_before = {handle.uid for handle in pool._handles}
             result = run_parallel_campaign(
